@@ -4,7 +4,7 @@
 //! "analysis results could be cached by content digest"), so identical
 //! trace bytes — a dongle retrying an upload after a flaky link, or a
 //! duplicate submission — can skip the whole peak-extraction pipeline.
-//! The cache maps a stable FNV-1a digest of the trace's *content* (every
+//! The cache maps a 64-bit digest of the trace's *content* (every
 //! sample's bit pattern, carrier layout, components, sample rate) to the
 //! [`PeakReport`] it produced, with LRU eviction at a fixed capacity.
 //!
@@ -24,24 +24,32 @@ use std::sync::Mutex;
 /// [`CloudService`]: crate::service::CloudService
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
-/// Stable 64-bit FNV-1a digest of a trace's analysis-relevant content.
+/// 64-bit digest of a trace's analysis-relevant content: the cache key.
 ///
 /// Folds in the sample rate, per-channel carrier/component, channel and
-/// sample counts, and every sample's IEEE-754 bit pattern, so any change
-/// that could alter the analysis changes the digest. (Equal digests for
+/// sample counts, and every sample's IEEE-754 bit pattern, one 64-bit
+/// word at a time: `h = (h ^ word) · M`, then `h ^= h >> 32`. For a fixed
+/// state each step is a bijection of the word, and for a fixed word a
+/// bijection of the state, so changing any one word — any one sample —
+/// always changes the digest. The shift carries the high bits of a word
+/// (a sample's sign and exponent) into the low half of the state, where
+/// the next multiply spreads them again. Without it, the multiply only
+/// ever moves bits upward, and flipping the sign bits of two adjacent
+/// samples cancels out, as it does under a plain word-wise FNV-1a step.
+///
+/// The digest keys the in-memory cache only; nothing persists or ships
+/// it, so its values may change between builds. (Equal digests for
 /// different traces are possible in principle — 64-bit hash — but the
 /// inputs are physical measurements plus noise, not adversarial bytes,
 /// and an attacker gains nothing: the cache only ever returns reports the
 /// service itself computed.)
 pub fn trace_digest(trace: &SignalTrace) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut hash = SEED;
     let mut fold = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
+        hash = (hash ^ word).wrapping_mul(MULTIPLIER);
+        hash ^= hash >> 32;
     };
     fold(trace.sample_rate.value().to_bits());
     fold(trace.channels().len() as u64);
@@ -216,6 +224,34 @@ mod tests {
         assert_ne!(trace_digest(&a), trace_digest(&different_rate));
         // -0.0 and 0.0 are different bit patterns: content, not value.
         assert_ne!(trace_digest(&trace(&[0.0])), trace_digest(&trace(&[-0.0])));
+    }
+
+    #[test]
+    fn adjacent_sign_flips_do_not_cancel() {
+        // Under a word-wise FNV-1a step, (h ^ w) · P, flipping bit 63 of a
+        // word moves the state by exactly 2^63, so flipping the sign of
+        // two adjacent samples restores it and these two traces collide.
+        assert_ne!(
+            trace_digest(&trace(&[1.0, 0.99, 1.01])),
+            trace_digest(&trace(&[1.0, -0.99, -1.01]))
+        );
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_every_sample_moves_the_digest() {
+        let samples = [1.0, 0.99, 1.01, -0.0, 3.5e-4, f64::MAX];
+        let base = trace_digest(&trace(&samples));
+        for i in 0..samples.len() {
+            for bit in 0..64 {
+                let mut flipped = samples;
+                flipped[i] = f64::from_bits(flipped[i].to_bits() ^ (1 << bit));
+                assert_ne!(
+                    trace_digest(&trace(&flipped)),
+                    base,
+                    "flip of bit {bit} in sample {i} went unseen"
+                );
+            }
+        }
     }
 
     #[test]

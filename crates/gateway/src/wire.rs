@@ -24,7 +24,7 @@
 //! it forever and simply mints a gateway-local trace. Any *other*
 //! header size is still [`UploadError::MalformedHeader`].
 
-use medsen_phone::frame::{chunk_data, Frame, FrameError, MessageType};
+use medsen_phone::frame::{read_frame, write_frame, FrameError, MessageType, FRAME_OVERHEAD};
 use medsen_wire::WireFormat;
 use std::fmt;
 
@@ -141,22 +141,36 @@ pub fn encode_upload_wire(session_id: u64, format: WireFormat, body: &[u8]) -> V
 /// phone-minted trace id in the 21-byte header. A zero `trace` (the
 /// reserved "no trace" value) produces the legacy 13-byte header,
 /// byte-identical to every pre-trace-context release.
+///
+/// Every frame is written straight into one buffer sized exactly for
+/// the upload, each chunk checksummed where it lies in `body`.
+///
+/// # Panics
+///
+/// Panics if `body` is longer than `u32::MAX` bytes, which the header
+/// cannot declare.
 pub fn encode_upload_traced(
     session_id: u64,
     format: WireFormat,
     body: &[u8],
     trace: u64,
 ) -> Vec<u8> {
-    let mut header = Vec::with_capacity(TRACED_HEADER_BYTES);
-    header.extend_from_slice(&session_id.to_be_bytes());
-    header.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    header.push(format.tag());
-    if trace != 0 {
-        header.extend_from_slice(&trace.to_be_bytes());
-    }
-    let mut out = Frame::new(MessageType::StartTest, header).encode().to_vec();
-    for frame in chunk_data(body, CHUNK_SIZE) {
-        out.extend_from_slice(&frame.encode());
+    let body_len = u32::try_from(body.len()).expect("upload body exceeds u32::MAX bytes");
+    let mut header = [0u8; TRACED_HEADER_BYTES];
+    header[..8].copy_from_slice(&session_id.to_be_bytes());
+    header[8..12].copy_from_slice(&body_len.to_be_bytes());
+    header[12] = format.tag();
+    header[HEADER_BYTES..].copy_from_slice(&trace.to_be_bytes());
+    let header = if trace == 0 {
+        &header[..HEADER_BYTES]
+    } else {
+        &header[..]
+    };
+    let frames = 1 + body.len().div_ceil(CHUNK_SIZE);
+    let mut out = Vec::with_capacity(frames * FRAME_OVERHEAD + header.len() + body.len());
+    write_frame(MessageType::StartTest, header, &mut out);
+    for chunk in body.chunks(CHUNK_SIZE) {
+        write_frame(MessageType::DataChunk, chunk, &mut out);
     }
     out
 }
@@ -168,20 +182,38 @@ pub fn encode_upload(session_id: u64, body: &str) -> Vec<u8> {
     encode_upload_wire(session_id, WireFormat::Json, body.as_bytes())
 }
 
-fn peek_header(wire: &[u8]) -> Option<(u64, WireFormat, u64)> {
-    let (header, _) = Frame::decode(wire).ok()?;
-    if header.msg_type != MessageType::StartTest
-        || !matches!(header.payload.len(), HEADER_BYTES | TRACED_HEADER_BYTES)
-    {
-        return None;
+/// The fields of a `StartTest` header.
+struct Header {
+    session_id: u64,
+    declared: usize,
+    format_tag: u8,
+    trace: u64,
+}
+
+/// Reads the `StartTest` frame at the front of an upload, returning its
+/// fields and the bytes it occupies.
+fn read_header(wire: &[u8]) -> Result<(Header, usize), UploadError> {
+    let (msg_type, payload, used) = read_frame(wire)?;
+    if msg_type != MessageType::StartTest {
+        return Err(UploadError::MissingHeader);
     }
-    let session_id = u64::from_be_bytes(header.payload[..8].try_into().ok()?);
-    let format = WireFormat::from_tag(header.payload[12])?;
-    let trace = match header.payload.get(HEADER_BYTES..TRACED_HEADER_BYTES) {
-        Some(raw) => u64::from_be_bytes(raw.try_into().ok()?),
-        None => 0,
+    if !matches!(payload.len(), HEADER_BYTES | TRACED_HEADER_BYTES) {
+        return Err(UploadError::MalformedHeader);
+    }
+    let header = Header {
+        session_id: u64::from_be_bytes(payload[..8].try_into().expect("8 bytes")),
+        declared: u32::from_be_bytes(payload[8..12].try_into().expect("4 bytes")) as usize,
+        format_tag: payload[12],
+        // Empty for the legacy header, the trace id for the traced one.
+        trace: <[u8; 8]>::try_from(&payload[HEADER_BYTES..]).map_or(0, u64::from_be_bytes),
     };
-    Some((session_id, format, trace))
+    Ok((header, used))
+}
+
+fn peek_header(wire: &[u8]) -> Option<(u64, WireFormat, u64)> {
+    let (header, _) = read_header(wire).ok()?;
+    let format = WireFormat::from_tag(header.format_tag)?;
+    Some((header.session_id, format, header.trace))
 }
 
 /// Reads just the session id from a framed upload's `StartTest` header
@@ -220,23 +252,14 @@ pub fn decode_upload(wire: &[u8]) -> Result<(u64, WireFormat, Vec<u8>), UploadEr
 /// `(session_id, wire_format, body, trace)`, where `trace` is the
 /// phone-minted trace id from a 21-byte traced header, or 0 for a
 /// legacy 13-byte header.
+///
+/// Each chunk is verified where it lies in `wire` and its payload is
+/// copied once, into a body buffer sized from the header.
 pub fn decode_upload_traced(wire: &[u8]) -> Result<(u64, WireFormat, Vec<u8>, u64), UploadError> {
-    let (header, mut offset) = Frame::decode(wire)?;
-    if header.msg_type != MessageType::StartTest {
-        return Err(UploadError::MissingHeader);
-    }
-    if !matches!(header.payload.len(), HEADER_BYTES | TRACED_HEADER_BYTES) {
-        return Err(UploadError::MalformedHeader);
-    }
-    let session_id = u64::from_be_bytes(header.payload[..8].try_into().unwrap());
-    let declared = u32::from_be_bytes(header.payload[8..12].try_into().unwrap()) as usize;
-    let format_tag = header.payload[12];
-    let trace = match header.payload.get(HEADER_BYTES..TRACED_HEADER_BYTES) {
-        Some(raw) => u64::from_be_bytes(raw.try_into().unwrap()),
-        None => 0,
-    };
-    let format =
-        WireFormat::from_tag(format_tag).ok_or(UploadError::UnknownFormat { tag: format_tag })?;
+    let (header, mut offset) = read_header(wire)?;
+    let tag = header.format_tag;
+    let format = WireFormat::from_tag(tag).ok_or(UploadError::UnknownFormat { tag })?;
+    let declared = header.declared;
     if declared > MAX_BODY_BYTES {
         return Err(UploadError::BodyTooLarge { declared });
     }
@@ -248,21 +271,19 @@ pub fn decode_upload_traced(wire: &[u8]) -> Result<(u64, WireFormat, Vec<u8>, u6
                 received: body.len(),
             });
         }
-        let (frame, used) = Frame::decode(&wire[offset..])?;
+        let (msg_type, payload, used) = read_frame(&wire[offset..])?;
         offset += used;
-        if frame.msg_type != MessageType::DataChunk {
+        if msg_type != MessageType::DataChunk {
             // Interleaved non-data frame: tolerate progress/status chatter.
             continue;
         }
-        body.extend_from_slice(&frame.payload);
-    }
-    if body.len() > declared {
-        // A chunk ran past the declared length. Truncating here would
-        // silently drop the overflow, so the mismatch is typed instead.
-        return Err(UploadError::OversizedBody {
-            declared,
-            received: body.len(),
-        });
+        let received = body.len() + payload.len();
+        if received > declared {
+            // A chunk ran past the declared length. Truncating here would
+            // silently drop the overflow, so the mismatch is typed instead.
+            return Err(UploadError::OversizedBody { declared, received });
+        }
+        body.extend_from_slice(payload);
     }
     if offset < wire.len() {
         // Leftover frames after the declared body completed; ignoring
@@ -274,12 +295,55 @@ pub fn decode_upload_traced(wire: &[u8]) -> Result<(u64, WireFormat, Vec<u8>, u6
     if format == WireFormat::Json && std::str::from_utf8(&body).is_err() {
         return Err(UploadError::BodyNotUtf8);
     }
-    Ok((session_id, format, body, trace))
+    Ok((header.session_id, format, body, header.trace))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use medsen_phone::frame::{chunk_data, Frame};
+
+    /// The upload as the public frame API composes it, one owned frame
+    /// at a time.
+    fn framed_by_parts(session_id: u64, format: WireFormat, body: &[u8], trace: u64) -> Vec<u8> {
+        let mut header = Vec::new();
+        header.extend_from_slice(&session_id.to_be_bytes());
+        header.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        header.push(format.tag());
+        if trace != 0 {
+            header.extend_from_slice(&trace.to_be_bytes());
+        }
+        let mut out = Frame::new(MessageType::StartTest, header).encode().to_vec();
+        for frame in chunk_data(body, CHUNK_SIZE) {
+            out.extend_from_slice(&frame.encode());
+        }
+        out
+    }
+
+    #[test]
+    fn single_buffer_encode_matches_frame_by_frame_composition() {
+        for len in [
+            0,
+            1,
+            CHUNK_SIZE - 1,
+            CHUNK_SIZE,
+            CHUNK_SIZE + 1,
+            3 * CHUNK_SIZE + 17,
+        ] {
+            let body: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            for trace in [0, 0xFEED_F00D] {
+                let wire = encode_upload_traced(9, WireFormat::Binary, &body, trace);
+                assert_eq!(
+                    wire,
+                    framed_by_parts(9, WireFormat::Binary, &body, trace),
+                    "{len} bytes, trace {trace:#x}"
+                );
+                assert_eq!(wire.capacity(), wire.len(), "buffer sized exactly");
+                let (_, _, decoded, got_trace) = decode_upload_traced(&wire).expect("decodes");
+                assert_eq!((decoded, got_trace), (body.clone(), trace));
+            }
+        }
+    }
 
     #[test]
     fn round_trips_small_and_multi_chunk_bodies() {

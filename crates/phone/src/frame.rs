@@ -7,7 +7,7 @@
 //! corruption; the message-type byte carries the AOAP handshake plus the
 //! MedSen data channel.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// Message types on the accessory link.
@@ -91,19 +91,79 @@ pub struct Frame {
     pub payload: Bytes,
 }
 
+/// Bytes a frame adds around its payload: the type byte, the `u32`
+/// length prefix and the `u16` checksum.
+pub const FRAME_OVERHEAD: usize = 1 + 4 + 2;
+
+/// Longest run of bytes the checksum sums without reducing them. Both
+/// sums start a block reduced (at most 254), so after `n` bytes of
+/// `0xFF` the second sum is at most `254 + 254·n + 255·n(n+1)/2`, which
+/// fits a `u32` up to `n = 5802` and overflows at 5803.
+const FLETCHER_BLOCK: usize = 5802;
+
 /// Fletcher-16 checksum over type + payload.
+///
+/// The checksum is defined with both sums reduced mod 255 after every
+/// byte. Reduction commutes with addition, so carrying the sums in a
+/// `u32` and reducing once per [`FLETCHER_BLOCK`] bytes gives the same
+/// bits at a fraction of the cost.
 fn fletcher16(msg_type: u8, payload: &[u8]) -> u16 {
-    let mut a: u16 = 0;
-    let mut b: u16 = 0;
-    let mut step = |byte: u8| {
-        a = (a + u16::from(byte)) % 255;
-        b = (b + a) % 255;
-    };
-    step(msg_type);
-    for &byte in payload {
-        step(byte);
+    let mut a = u32::from(msg_type) % 255;
+    let mut b = a;
+    for block in payload.chunks(FLETCHER_BLOCK) {
+        for &byte in block {
+            a += u32::from(byte);
+            b += a;
+        }
+        a %= 255;
+        b %= 255;
     }
-    (b << 8) | a
+    u16::try_from((b << 8) | a).expect("both sums are reduced below 255")
+}
+
+/// Appends one frame to `out`, checksumming `payload` where it lies.
+/// Wire layout: `[type: u8][len: u32 BE][payload][checksum: u16 BE]`.
+///
+/// # Panics
+///
+/// Panics if `payload` is longer than `u32::MAX` bytes, which the length
+/// prefix cannot declare.
+pub fn write_frame(msg_type: MessageType, payload: &[u8], out: &mut Vec<u8>) {
+    let len = u32::try_from(payload.len()).expect("frame payload exceeds u32::MAX bytes");
+    out.reserve(FRAME_OVERHEAD + payload.len());
+    out.push(msg_type as u8);
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fletcher16(msg_type as u8, payload).to_be_bytes());
+}
+
+/// Decodes the frame at the front of `bytes` without copying it,
+/// returning its type, its payload as a borrowed slice, and the number
+/// of bytes consumed.
+///
+/// # Errors
+///
+/// Returns a [`FrameError`] on truncation, bad type, or checksum failure.
+pub fn read_frame(bytes: &[u8]) -> Result<(MessageType, &[u8], usize), FrameError> {
+    if bytes.len() < FRAME_OVERHEAD {
+        return Err(FrameError::Truncated);
+    }
+    let type_byte = bytes[0];
+    let msg_type = MessageType::from_u8(type_byte).ok_or(FrameError::UnknownType(type_byte))?;
+    let declared = u32::from_be_bytes(bytes[1..5].try_into().expect("4 bytes")) as usize;
+    let available = bytes.len() - FRAME_OVERHEAD;
+    if available < declared {
+        return Err(FrameError::LengthMismatch {
+            declared,
+            available,
+        });
+    }
+    let payload = &bytes[5..5 + declared];
+    let checksum = u16::from_be_bytes([bytes[5 + declared], bytes[6 + declared]]);
+    if checksum != fletcher16(type_byte, payload) {
+        return Err(FrameError::ChecksumMismatch);
+    }
+    Ok((msg_type, payload, FRAME_OVERHEAD + declared))
 }
 
 impl Frame {
@@ -115,42 +175,24 @@ impl Frame {
         }
     }
 
-    /// Wire layout: `[type: u8][len: u32 BE][payload][checksum: u16 BE]`.
+    /// Wire layout: `[type: u8][len: u32 BE][payload][checksum: u16 BE]`
+    /// (see [`write_frame`]).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 + 4 + self.payload.len() + 2);
-        buf.put_u8(self.msg_type as u8);
-        buf.put_u32(self.payload.len() as u32);
-        buf.put_slice(&self.payload);
-        buf.put_u16(fletcher16(self.msg_type as u8, &self.payload));
-        buf.freeze()
+        let mut out = Vec::with_capacity(FRAME_OVERHEAD + self.payload.len());
+        write_frame(self.msg_type, &self.payload, &mut out);
+        out.into()
     }
 
     /// Decodes a frame from the front of `bytes`, returning it plus the
-    /// number of bytes consumed.
+    /// number of bytes consumed. [`read_frame`] does the same without
+    /// copying the payload.
     ///
     /// # Errors
     ///
     /// Returns a [`FrameError`] on truncation, bad type, or checksum failure.
-    pub fn decode(mut bytes: &[u8]) -> Result<(Self, usize), FrameError> {
-        if bytes.len() < 7 {
-            return Err(FrameError::Truncated);
-        }
-        let type_byte = bytes.get_u8();
-        let msg_type = MessageType::from_u8(type_byte).ok_or(FrameError::UnknownType(type_byte))?;
-        let declared = bytes.get_u32() as usize;
-        if bytes.len() < declared + 2 {
-            return Err(FrameError::LengthMismatch {
-                declared,
-                available: bytes.len().saturating_sub(2),
-            });
-        }
-        let payload = Bytes::copy_from_slice(&bytes[..declared]);
-        bytes.advance(declared);
-        let checksum = bytes.get_u16();
-        if checksum != fletcher16(type_byte, &payload) {
-            return Err(FrameError::ChecksumMismatch);
-        }
-        Ok((Self { msg_type, payload }, 1 + 4 + declared + 2))
+    pub fn decode(bytes: &[u8]) -> Result<(Self, usize), FrameError> {
+        let (msg_type, payload, used) = read_frame(bytes)?;
+        Ok((Self::new(msg_type, Bytes::copy_from_slice(payload)), used))
     }
 }
 
@@ -170,6 +212,50 @@ pub fn chunk_data(data: &[u8], chunk_size: usize) -> Vec<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The checksum as defined: both sums reduced mod 255 after every
+    /// byte. The reference [`fletcher16`] must match bit for bit.
+    fn fletcher16_per_byte(msg_type: u8, payload: &[u8]) -> u16 {
+        let mut a: u16 = 0;
+        let mut b: u16 = 0;
+        let mut step = |byte: u8| {
+            a = (a + u16::from(byte)) % 255;
+            b = (b + a) % 255;
+        };
+        step(msg_type);
+        for &byte in payload {
+            step(byte);
+        }
+        (b << 8) | a
+    }
+
+    #[test]
+    fn deferred_fletcher_matches_the_per_byte_reference() {
+        let patterned: Vec<u8> = (0..11_605u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        let all_ff = vec![0xFFu8; 11_605];
+        // Every type byte a frame can carry, plus 0xFE, which starts the
+        // sums at their largest reduced value: the tightest case for the
+        // block bound.
+        let type_bytes: Vec<u8> = (0..=u8::MAX)
+            .filter(|&t| MessageType::from_u8(t).is_some())
+            .chain([0xFE, 0xFF])
+            .collect();
+        let lengths = (0..=64).chain([5801, 5802, 5803, 11_604, 11_605]);
+        for len in lengths {
+            for payload in [&patterned[..len], &all_ff[..len]] {
+                for &msg_type in &type_bytes {
+                    assert_eq!(
+                        fletcher16(msg_type, payload),
+                        fletcher16_per_byte(msg_type, payload),
+                        "type {msg_type:#04x}, {len} bytes, first byte {:?}",
+                        payload.first()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn encode_decode_round_trip() {

@@ -97,7 +97,15 @@ impl Executor {
     }
 
     fn shutdown_in_place(&mut self) {
-        self.inner.shutting_down.store(true, Ordering::Release);
+        // The flag is stored under the queue lock: a worker checks it and
+        // goes to sleep while holding that lock, so it either sees the
+        // flag or is already waiting when `notify_all` runs. Stored
+        // without the lock, the notify could fall between the check and
+        // the wait, and that worker would sleep forever.
+        {
+            let _queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.inner.shutting_down.store(true, Ordering::Release);
+        }
         self.inner.available.notify_all();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
@@ -297,6 +305,30 @@ mod tests {
             assert!(spans.iter().all(|s| s.tag == i as u32));
         }
         executor.shutdown();
+    }
+
+    /// Shutdown must wake every idle worker, however the store of the
+    /// shutdown flag interleaves with a worker about to sleep. Repeated
+    /// create/drop cycles hit the window between a worker's flag check
+    /// and its wait; a hang shows up as a missed deadline, not a stuck
+    /// test run.
+    #[test]
+    fn shutdown_never_loses_a_wakeup() {
+        const CYCLES: u32 = 50_000;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cycler = thread::spawn(move || {
+            for cycle in 0..CYCLES {
+                drop(Executor::new(2));
+                if tx.send(cycle).is_err() {
+                    return;
+                }
+            }
+        });
+        for cycle in 0..CYCLES {
+            rx.recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("executor drop hung in cycle {cycle}"));
+        }
+        cycler.join().expect("cycler thread");
     }
 
     /// Redundant wakes collapse: waking an already-scheduled task many

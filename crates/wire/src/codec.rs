@@ -341,10 +341,21 @@ impl<T: Wire> Wire for Option<T> {
 
 /// Encodes a root message as one versioned, CRC-framed byte buffer.
 pub fn encode_message<T: WireMessage>(value: &T) -> Vec<u8> {
+    encode_envelope(T::KIND, None, value)
+}
+
+/// Encodes `[version][trace u64 LE, if any][value]` as the payload of a
+/// `kind` frame, writing it straight into the frame's buffer.
+fn encode_envelope<T: Wire>(kind: u8, trace: Option<u64>, value: &T) -> Vec<u8> {
     let mut w = Writer::new();
+    let start = frame::begin_frame(kind, &mut w.buf);
     w.put_u8(WIRE_VERSION);
+    if let Some(trace) = trace {
+        w.put_u64(trace);
+    }
     value.wire_encode(&mut w);
-    frame::frame_to_vec(T::KIND, &w.into_bytes())
+    frame::seal_frame(&mut w.buf, start);
+    w.buf
 }
 
 /// Decodes one versioned, CRC-framed root message. Total: every
@@ -388,11 +399,7 @@ pub fn encode_message_traced<T: WireMessage>(value: &T, trace: u64) -> Vec<u8> {
     if trace == 0 {
         return encode_message(value);
     }
-    let mut w = Writer::new();
-    w.put_u8(WIRE_VERSION);
-    w.put_u64(trace);
-    value.wire_encode(&mut w);
-    frame::frame_to_vec(T::KIND | TRACED_KIND_BIT, &w.into_bytes())
+    encode_envelope(T::KIND | TRACED_KIND_BIT, Some(trace), value)
 }
 
 /// Decodes a root message that may or may not carry trace context:

@@ -67,19 +67,39 @@ impl std::error::Error for FrameError {}
 /// Panics if `payload` exceeds [`MAX_FRAME_BYTES`] minus the kind byte —
 /// such a frame could never be decoded again.
 pub fn encode_frame(kind: u8, payload: &[u8], out: &mut Vec<u8>) {
-    let body_len = payload.len() + 1;
+    out.reserve(FRAME_OVERHEAD + payload.len());
+    let start = begin_frame(kind, out);
+    out.extend_from_slice(payload);
+    seal_frame(out, start);
+}
+
+/// Starts a frame at the end of `out`: a header whose length and CRC
+/// are left blank, then `kind`. The caller appends the payload to `out`
+/// and passes the returned offset to [`seal_frame`], so a payload can
+/// be encoded straight into the frame's buffer.
+pub(crate) fn begin_frame(kind: u8, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_OVERHEAD - 1]);
+    out.push(kind);
+    start
+}
+
+/// Fills in the length and CRC of the frame begun at `start`, whose
+/// body runs to the end of `out`.
+///
+/// # Panics
+///
+/// Panics if the body exceeds [`MAX_FRAME_BYTES`] — such a frame could
+/// never be decoded again.
+pub(crate) fn seal_frame(out: &mut [u8], start: usize) {
+    let (header, body) = out[start..].split_at_mut(FRAME_OVERHEAD - 1);
+    let body_len = body.len();
     assert!(
         body_len <= MAX_FRAME_BYTES,
         "frame body of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
     );
-    out.reserve(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    let crc_at = out.len();
-    out.extend_from_slice(&[0; 4]);
-    out.push(kind);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[crc_at + 4..]);
-    out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    header[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(body).to_le_bytes());
 }
 
 /// Convenience: encodes one frame into a fresh buffer.

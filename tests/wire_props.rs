@@ -315,4 +315,26 @@ fn fountain_crc_copy_is_pinned_to_the_shared_crc() {
             );
         }
     }
+    // The shared CRC folds whole blocks at a time and finishes the tail
+    // byte by byte: every tail length at every alignment, then one
+    // buffer the size of a paper-length upload and more.
+    for start in 0..16 {
+        for len in 0..=64 {
+            let slice = &payload[start..start + len];
+            assert_eq!(
+                medsen::wire::crc32(slice),
+                medsen::fountain::crc32(slice),
+                "CRC drift at start {start} length {len}"
+            );
+        }
+    }
+    let large: Vec<u8> = (0..(2u32 << 20) + 13)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+        .collect();
+    assert_eq!(
+        medsen::wire::crc32(&large),
+        medsen::fountain::crc32(&large),
+        "CRC drift over {} bytes",
+        large.len()
+    );
 }
