@@ -1,16 +1,23 @@
-//! Durable persistence for the cloud tier: the typed entry codec over
-//! `medsen-store`'s opaque per-shard WAL, recovery replay, and snapshot
-//! compaction.
+//! Durable persistence for the cloud tier: the typed entry encoding
+//! over `medsen-store`'s opaque per-shard WAL, recovery replay, and
+//! snapshot compaction.
 //!
 //! ## Division of labor
 //!
 //! `medsen-store` knows nothing about enrollments or records — it
 //! journals `(kind: u8, payload: bytes)` frames and opaque snapshot
 //! blobs, stamped with the shard layout. This module owns the *meaning*
-//! of those bytes: [`WalEntry`] is the typed log entry (JSON-encoded
-//! with the same `medsen-phone` codec the wire uses), [`ShardSnapshot`]
-//! the compaction image, and [`open_storage`] the replay that rebuilds a
+//! of those bytes: [`WalEntry`] is the typed log entry, and a snapshot
+//! is the shortest entry list that rebuilds its shard. Both are stored
+//! as `[WIRE_VERSION][value]` in the `medsen-wire` binary encoding the
+//! requests and replies use, so one versioned, total decoder reads the
+//! wire and the disk. [`open_storage`] is the replay that rebuilds a
 //! [`ShardedAuth`] + [`RecordStore`] pair from disk.
+//!
+//! A directory written before this encoding holds JSON entries and
+//! snapshots. Each starts with `{`, which is no wire version, so open
+//! refuses it with [`StorageError::Corrupt`] and leaves its files as
+//! they are.
 //!
 //! ## Fail-stop writes
 //!
@@ -36,21 +43,24 @@ use crate::auth::BeadSignature;
 use crate::shard::{shard_index, EnrollJournal, ShardedAuth, MAX_SHARDS};
 use crate::storage::{RecordId, RecordJournal, RecordStore, StoredRecord};
 use medsen_store::{FlushPolicy, Wal, WalError, WalStats};
-use serde::{Deserialize, Serialize};
+use medsen_wire::{decode_versioned, encode_versioned, Reader, Wire, WireError, Writer};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Frame kind for an enrollment entry.
+/// Frame kind (and wire variant tag) for an enrollment entry.
 const KIND_ENROLL: u8 = 1;
-/// Frame kind for a new stored record.
+/// Frame kind (and wire variant tag) for a new stored record.
 const KIND_STORE: u8 = 2;
-/// Frame kind for an in-place record overwrite.
+/// Frame kind (and wire variant tag) for an in-place record overwrite.
 const KIND_TAMPER: u8 = 3;
 
 /// One typed write-ahead log entry. Public so the fault-injection tests
 /// can craft adversarial logs through the raw `medsen-store` API.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// On disk an entry is the frame payload `[WIRE_VERSION][WalEntry]`,
+/// whose wire variant tag equals the frame's kind byte.
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalEntry {
     /// An identifier was enrolled (or re-enrolled, last-wins).
     Enroll {
@@ -86,30 +96,63 @@ impl WalEntry {
     }
 }
 
-/// One enrollment in a compaction snapshot.
-///
-/// Named struct rather than a tuple: the vendored serde stubs (and the
-/// on-disk format's readability) favor field names.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SnapshotEnrollment {
-    identifier: String,
-    signature: BeadSignature,
+impl Wire for WalEntry {
+    fn wire_encode(&self, w: &mut Writer) {
+        w.put_u8(self.kind());
+        match self {
+            WalEntry::Enroll {
+                identifier,
+                signature,
+            } => {
+                identifier.wire_encode(w);
+                signature.wire_encode(w);
+            }
+            WalEntry::Store { id, record } | WalEntry::Tamper { id, record } => {
+                id.wire_encode(w);
+                record.wire_encode(w);
+            }
+        }
+    }
+    fn wire_decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.get_u8()? {
+            KIND_ENROLL => Ok(WalEntry::Enroll {
+                identifier: String::wire_decode(r)?,
+                signature: BeadSignature::wire_decode(r)?,
+            }),
+            KIND_STORE => Ok(WalEntry::Store {
+                id: RecordId::wire_decode(r)?,
+                record: StoredRecord::wire_decode(r)?,
+            }),
+            KIND_TAMPER => Ok(WalEntry::Tamper {
+                id: RecordId::wire_decode(r)?,
+                record: StoredRecord::wire_decode(r)?,
+            }),
+            tag => Err(WireError::BadTag {
+                what: "WAL entry",
+                tag,
+            }),
+        }
+    }
 }
 
-/// One stored record in a compaction snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SnapshotRecord {
-    id: RecordId,
-    record: StoredRecord,
-}
-
-/// A shard's full state at compaction time. Enrollments iterate in
-/// identifier order and records are sorted by id, so two snapshots of
-/// the same state are byte-identical.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-struct ShardSnapshot {
-    enrolled: Vec<SnapshotEnrollment>,
-    records: Vec<SnapshotRecord>,
+/// Decodes one log frame's payload and checks it against the frame's
+/// kind byte. Both recovery and the standby's replicated-frame apply
+/// read entries through here.
+pub(crate) fn decode_entry(shard: u32, kind: u8, payload: &[u8]) -> Result<WalEntry, StorageError> {
+    let entry: WalEntry = decode_versioned(payload).map_err(|e| StorageError::Corrupt {
+        shard,
+        detail: format!("log entry does not decode: {e}"),
+    })?;
+    if entry.kind() != kind {
+        return Err(StorageError::Corrupt {
+            shard,
+            detail: format!(
+                "frame kind {kind} disagrees with its payload ({})",
+                entry.kind()
+            ),
+        });
+    }
+    Ok(entry)
 }
 
 /// Errors opening or replaying durable storage.
@@ -261,11 +304,10 @@ impl CloudStore {
     ///
     /// # Panics
     ///
-    /// Panics if the entry cannot be encoded or the append fails — see
-    /// the module docs on fail-stop writes.
+    /// Panics if the append fails — see the module docs on fail-stop
+    /// writes.
     fn append(&self, shard: u32, entry: &WalEntry) {
-        let json = medsen_phone::to_json(entry)
-            .unwrap_or_else(|e| panic!("WAL entry failed to encode: {e}"));
+        let payload = encode_versioned(entry);
         let _ship_guard = self.replication.get().map(|r| {
             r.ship_locks[shard as usize]
                 .lock()
@@ -273,7 +315,7 @@ impl CloudStore {
         });
         let frame = self
             .wal
-            .append(shard, entry.kind(), json.as_bytes())
+            .append(shard, entry.kind(), &payload)
             .unwrap_or_else(|e| {
                 panic!("cannot journal to shard {shard}'s WAL (failing stop): {e}")
             });
@@ -283,7 +325,7 @@ impl CloudStore {
             rep.hook.frame_appended(
                 shard,
                 entry.kind(),
-                json.as_bytes(),
+                &payload,
                 frame.start_offset,
                 frame.end_offset,
             );
@@ -452,8 +494,9 @@ pub(crate) fn replay_entry(
     Ok(())
 }
 
-/// Decodes a [`ShardSnapshot`] blob and replays it into the in-memory
-/// state through the same idempotent restore paths as log frames.
+/// Decodes a snapshot blob — `[WIRE_VERSION][Vec<WalEntry>]`, as
+/// [`compact_shard`] writes it — and replays its entries into the
+/// in-memory state through the same idempotent path as log frames.
 ///
 /// Used at recovery (the on-disk snapshot) and by the standby when a
 /// snapshot catch-up arrives over the replication stream. The entries
@@ -467,38 +510,12 @@ pub(crate) fn replay_snapshot_blob(
     shard_count: usize,
     bytes: &[u8],
 ) -> Result<(), StorageError> {
-    let json = std::str::from_utf8(bytes).map_err(|_| StorageError::Corrupt {
+    let entries: Vec<WalEntry> = decode_versioned(bytes).map_err(|e| StorageError::Corrupt {
         shard,
-        detail: "snapshot is not UTF-8".into(),
+        detail: format!("snapshot does not decode: {e}"),
     })?;
-    let snapshot: ShardSnapshot =
-        medsen_phone::from_json(json).map_err(|e| StorageError::Corrupt {
-            shard,
-            detail: format!("snapshot does not decode: {e}"),
-        })?;
-    for enrollment in snapshot.enrolled {
-        replay_entry(
-            auth,
-            store,
-            shard,
-            shard_count,
-            WalEntry::Enroll {
-                identifier: enrollment.identifier,
-                signature: enrollment.signature,
-            },
-        )?;
-    }
-    for snap_record in snapshot.records {
-        replay_entry(
-            auth,
-            store,
-            shard,
-            shard_count,
-            WalEntry::Store {
-                id: snap_record.id,
-                record: snap_record.record,
-            },
-        )?;
+    for entry in entries {
+        replay_entry(auth, store, shard, shard_count, entry)?;
     }
     Ok(())
 }
@@ -526,25 +543,7 @@ pub(crate) fn open_storage(
             replay_snapshot_blob(&auth, &store, shard, shard_count, bytes)?;
         }
         for frame in recovery.frames {
-            let json = std::str::from_utf8(&frame.payload).map_err(|_| StorageError::Corrupt {
-                shard,
-                detail: "log entry is not UTF-8".into(),
-            })?;
-            let entry: WalEntry =
-                medsen_phone::from_json(json).map_err(|e| StorageError::Corrupt {
-                    shard,
-                    detail: format!("log entry does not decode: {e}"),
-                })?;
-            if entry.kind() != frame.kind {
-                return Err(StorageError::Corrupt {
-                    shard,
-                    detail: format!(
-                        "frame kind {} disagrees with its payload ({})",
-                        frame.kind,
-                        entry.kind()
-                    ),
-                });
-            }
+            let entry = decode_entry(shard, frame.kind, &frame.payload)?;
             replay_entry(&auth, &store, shard, shard_count, entry)?;
         }
     }
@@ -561,6 +560,11 @@ pub(crate) fn open_storage(
 
 /// Snapshots one shard's full state and resets its log.
 ///
+/// The snapshot is the shortest log that rebuilds the shard: every
+/// enrollment as an `Enroll` entry in identifier order, then every
+/// record as a `Store` entry sorted by id, so equal states give
+/// byte-identical snapshots.
+///
 /// Takes the shard's auth lock then its records lock — the only place in
 /// the system that ever holds both. Regular writers hold at most one
 /// shard lock at a time, so this fixed order cannot deadlock, and
@@ -575,30 +579,22 @@ pub(crate) fn compact_shard(
     let auth_guard = auth.write_shard(shard);
     let records_guard = store.write_shard(shard);
 
-    let enrolled = auth_guard
+    let mut entries: Vec<WalEntry> = auth_guard
         .enrolled_entries()
-        .map(|(identifier, signature)| SnapshotEnrollment {
+        .map(|(identifier, signature)| WalEntry::Enroll {
             identifier: identifier.to_string(),
             signature: signature.clone(),
         })
         .collect();
-    let mut records: Vec<SnapshotRecord> = records_guard
-        .iter()
-        .map(|(&id, record)| SnapshotRecord {
-            id,
-            record: record.clone(),
-        })
-        .collect();
-    records.sort_by_key(|r| r.id);
-    let snapshot = ShardSnapshot { enrolled, records };
+    let mut records: Vec<_> = records_guard.iter().collect();
+    records.sort_by_key(|&(&id, _)| id);
+    entries.extend(records.into_iter().map(|(&id, record)| WalEntry::Store {
+        id,
+        record: record.clone(),
+    }));
+    let blob = encode_versioned(&entries);
 
-    let json = medsen_phone::to_json(&snapshot).map_err(|e| StorageError::Corrupt {
-        shard: shard as u32,
-        detail: format!("snapshot failed to encode: {e}"),
-    })?;
-    cloud_store
-        .wal
-        .install_snapshot(shard as u32, json.as_bytes())?;
+    cloud_store.wal.install_snapshot(shard as u32, &blob)?;
     cloud_store.appends_since_snapshot[shard].store(0, Ordering::Relaxed);
     // Compaction reset the shard's log generation, so the replication
     // stream re-bases at offset zero: ship the same snapshot blob to the
@@ -608,7 +604,7 @@ pub(crate) fn compact_shard(
         let _ship_guard = rep.ship_locks[shard]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        rep.hook.snapshot_installed(shard as u32, json.as_bytes());
+        rep.hook.snapshot_installed(shard as u32, &blob);
     }
     Ok(())
 }
@@ -659,7 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn wal_entry_json_round_trips() {
+    fn wal_entry_binary_round_trips() {
         for entry in [
             WalEntry::Enroll {
                 identifier: "alice".into(),
@@ -674,9 +670,14 @@ mod tests {
                 record: record("mallory"),
             },
         ] {
-            let json = medsen_phone::to_json(&entry).expect("encodes");
-            let back: WalEntry = medsen_phone::from_json(&json).expect("decodes");
+            let payload = encode_versioned(&entry);
+            assert_eq!(payload[1], entry.kind(), "variant tag is the frame kind");
+            let back = decode_entry(0, entry.kind(), &payload).expect("decodes");
             assert_eq!(back, entry);
+            assert!(matches!(
+                decode_entry(0, entry.kind() % 3 + 1, &payload),
+                Err(StorageError::Corrupt { .. })
+            ));
         }
     }
 
@@ -736,6 +737,52 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_is_the_sorted_entry_list_of_the_state() {
+        let snapshot_of = |tag: &str, enrollments: &[(&str, u64)]| {
+            let dir = temp_dir(tag);
+            let (auth, store, cs) = open_storage(&StorageConfig::new(&dir), 1).expect("open");
+            for &(user, n) in enrollments {
+                auth.enroll(user, sig(n));
+            }
+            store.store(record("alice"));
+            store.store(record("bob"));
+            compact_shard(&auth, &store, &cs, 0).expect("compact");
+            let bytes = std::fs::read(snapshot_path(&dir, 0)).expect("snapshot written");
+            let _ = std::fs::remove_dir_all(&dir);
+            bytes
+        };
+        // Equal states reached by different histories: byte-identical.
+        let snapshot = snapshot_of("snap-a", &[("bob", 80), ("alice", 40)]);
+        let replayed = snapshot_of("snap-b", &[("alice", 10), ("alice", 40), ("bob", 80)]);
+        assert_eq!(snapshot, replayed);
+
+        // Past the 28-byte file header: enrollments in identifier order,
+        // then records by id.
+        let entries: Vec<WalEntry> = decode_versioned(&snapshot[28..]).expect("decodes");
+        assert_eq!(
+            entries,
+            [
+                WalEntry::Enroll {
+                    identifier: "alice".into(),
+                    signature: sig(40),
+                },
+                WalEntry::Enroll {
+                    identifier: "bob".into(),
+                    signature: sig(80),
+                },
+                WalEntry::Store {
+                    id: RecordId::compose(0, 1, 0),
+                    record: record("alice"),
+                },
+                WalEntry::Store {
+                    id: RecordId::compose(0, 1, 1),
+                    record: record("bob"),
+                },
+            ]
+        );
+    }
+
+    #[test]
     fn reopening_under_a_different_layout_is_refused() {
         let dir = temp_dir("layout");
         let config = StorageConfig::new(&dir);
@@ -768,8 +815,7 @@ mod tests {
                 id: RecordId::compose(0, 8, 0),
                 record: record("alice"),
             };
-            let json = medsen_phone::to_json(&entry).expect("encodes");
-            wal.append(0, entry.kind(), json.as_bytes())
+            wal.append(0, entry.kind(), &encode_versioned(&entry))
                 .expect("append");
         }
         match open_storage(&StorageConfig::new(&dir), 2) {

@@ -41,7 +41,7 @@ use medsen_replica::{
     ApplySink, FrameShip, ReplicaError, ShipTransport, Shipper, ShipperStats, SnapshotShip,
     Standby, StandbyStats,
 };
-use medsen_store::FRAME_OVERHEAD;
+use medsen_wire::FRAME_OVERHEAD;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 

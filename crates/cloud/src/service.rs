@@ -3,9 +3,10 @@
 //!
 //! The prototype's cloud is "a powerful server that runs Matlab"; a
 //! deployable service needs an actual protocol. [`CloudService`] dispatches
-//! JSON-encoded [`Request`]s (as carried by the phone's accessory/network
-//! frames) to the analysis server, the auth service, and the record store,
-//! and returns JSON-encoded [`Response`]s. Everything stays inside the
+//! [`Request`]s (binary or JSON bodies, as carried by the phone's
+//! accessory/network frames) to the analysis server, the auth service, and
+//! the record store, and returns [`Response`]s in the same format
+//! ([`CloudService::handle_wire_shared`]). Everything stays inside the
 //! curious-but-honest boundary: requests carry ciphertext traces and bead
 //! statistics, never key material.
 
@@ -246,16 +247,7 @@ impl CloudService {
         payload: &[u8],
     ) -> Result<(), String> {
         let persist = self.persist.as_ref().ok_or("standby is not durable")?;
-        let json = std::str::from_utf8(payload)
-            .map_err(|_| "replicated frame is not UTF-8".to_string())?;
-        let entry: persist::WalEntry = medsen_phone_json::from_json(json)
-            .map_err(|e| format!("replicated frame does not decode: {e}"))?;
-        if entry.kind() != kind {
-            return Err(format!(
-                "frame kind {kind} disagrees with its payload ({})",
-                entry.kind()
-            ));
-        }
+        let entry = persist::decode_entry(shard, kind, payload).map_err(|e| e.to_string())?;
         persist.append_replicated(shard, kind, payload)?;
         persist::replay_entry(&self.auth, &self.store, shard, self.shard_count(), entry)
             .map_err(|e| e.to_string())
@@ -457,24 +449,6 @@ impl CloudService {
         }
     }
 
-    /// Handles a JSON-encoded request, returning a JSON-encoded response —
-    /// the exact byte-level interface behind the phone's network frames.
-    pub fn handle_json(&mut self, request_json: &str) -> String {
-        self.handle_json_shared(request_json)
-    }
-
-    /// Shared-reference counterpart of [`CloudService::handle_json`].
-    pub fn handle_json_shared(&self, request_json: &str) -> String {
-        let response = match medsen_phone_json::from_json::<Request>(request_json) {
-            Ok(request) => self.handle_shared(request),
-            Err(e) => Response::Error {
-                reason: format!("malformed request: {e}"),
-            },
-        };
-        medsen_phone_json::to_json(&response)
-            .unwrap_or_else(|e| format!("{{\"Error\":{{\"reason\":\"encode failure: {e}\"}}}}"))
-    }
-
     /// Handles one encoded request body in the selected wire format,
     /// returning the reply in the same format — the byte-level service
     /// entry the gateway drives. Total: a malformed body becomes an
@@ -504,16 +478,13 @@ impl Default for CloudService {
     }
 }
 
-// The JSON codec lives in medsen-phone (the relay owns the wire format);
-// alias it locally to keep call sites readable.
-use medsen_phone as medsen_phone_json;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use medsen_impedance::{PulseSpec, TraceSynthesizer};
     use medsen_microfluidics::ParticleKind;
     use medsen_units::Seconds;
+    use medsen_wire::WireFormat;
 
     fn trace(n_pulses: usize) -> SignalTrace {
         let mut synth = TraceSynthesizer::clean(1);
@@ -601,20 +572,28 @@ mod tests {
         );
     }
 
+    /// Serves one JSON request body through the byte-level entry point
+    /// and decodes the JSON reply.
+    fn serve_json(svc: &CloudService, request: &[u8]) -> Response {
+        let reply = svc.handle_wire_shared(WireFormat::Json, request);
+        crate::wire::decode_response(WireFormat::Json, &reply).expect("reply decodes")
+    }
+
+    fn json_request(request: &Request) -> Vec<u8> {
+        crate::wire::encode_request(WireFormat::Json, request).expect("encodes")
+    }
+
     #[test]
     fn json_interface_round_trips() {
-        let mut svc = CloudService::new();
-        let request = medsen_phone::to_json(&Request::Ping).expect("encodes");
-        let response = svc.handle_json(&request);
-        let parsed: Response = medsen_phone::from_json(&response).expect("decodes");
+        let svc = CloudService::new();
+        let parsed = serve_json(&svc, &json_request(&Request::Ping));
         assert_eq!(parsed, Response::Pong);
     }
 
     #[test]
     fn json_interface_rejects_garbage_gracefully() {
-        let mut svc = CloudService::new();
-        let response = svc.handle_json("not json at all");
-        let parsed: Response = medsen_phone::from_json(&response).expect("decodes");
+        let svc = CloudService::new();
+        let parsed = serve_json(&svc, b"not json at all");
         assert!(matches!(parsed, Response::Error { .. }));
     }
 
@@ -683,13 +662,11 @@ mod tests {
 
     #[test]
     fn json_with_wrong_shape_yields_error_response() {
-        let mut svc = CloudService::new();
+        let svc = CloudService::new();
         // Valid JSON, but not a valid Request: unknown variant and a
         // variant missing its payload fields.
         for bad in ["{\"Reboot\":{}}", "{\"Analyze\":{}}", "42", "[]"] {
-            let response = svc.handle_json(bad);
-            let parsed: Response = medsen_phone::from_json(&response).expect("decodes");
-            match parsed {
+            match serve_json(&svc, bad.as_bytes()) {
                 Response::Error { reason } => {
                     assert!(
                         reason.contains("malformed request"),
@@ -783,11 +760,11 @@ mod tests {
     }
 
     /// Regression for the `handle` / `handle_shared` unification: both
-    /// entry points (and both JSON wrappers) must be the same dispatch
-    /// path, observable as byte-identical JSON for an identical request
-    /// stream against identically prepared services.
+    /// entry points must be the same dispatch path, observable as equal
+    /// responses for an identical request stream against identically
+    /// prepared services.
     #[test]
-    fn handle_and_handle_shared_produce_identical_json() {
+    fn handle_and_handle_shared_produce_identical_responses() {
         let mut via_mut = CloudService::new();
         let via_shared = CloudService::new();
         let requests = [
@@ -812,16 +789,10 @@ mod tests {
             },
         ];
         for request in requests {
-            let json = medsen_phone::to_json(&request).expect("encodes");
-            assert_eq!(
-                via_mut.handle_json(&json),
-                via_shared.handle_json_shared(&json),
-                "dispatch paths diverged for {request:?}"
-            );
-            // The non-JSON entry points agree too.
             assert_eq!(
                 via_mut.handle(request.clone()),
-                via_shared.handle_shared(request)
+                via_shared.handle_shared(request.clone()),
+                "dispatch paths diverged for {request:?}"
             );
         }
         // Both paths mutated the same state the same way.
@@ -930,15 +901,12 @@ mod tests {
 
     #[test]
     fn analyze_request_survives_the_json_wire() {
-        let mut svc = CloudService::new();
+        let svc = CloudService::new();
         let request = Request::Analyze {
             trace: trace(3),
             authenticate: false,
         };
-        let encoded = medsen_phone::to_json(&request).expect("encodes");
-        let response = svc.handle_json(&encoded);
-        let parsed: Response = medsen_phone::from_json(&response).expect("decodes");
-        match parsed {
+        match serve_json(&svc, &json_request(&request)) {
             Response::Analyzed { report, .. } => assert_eq!(report.peak_count(), 3),
             other => panic!("unexpected {other:?}"),
         }

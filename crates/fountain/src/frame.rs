@@ -1,5 +1,6 @@
-//! The symbol wire frame: length-prefixed + CRC32, in the
-//! `crates/store/src/frame.rs` idiom.
+//! The symbol wire frame: length-prefixed + CRC32, with the header
+//! layout of `medsen-wire`'s frame (which the WAL writes too), in a
+//! frozen private copy.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -17,9 +18,9 @@
 //! re-requested, so a frame that fails its CRC is simply dropped, exactly
 //! like a symbol the link ate; the codec's redundancy covers both.
 //!
-//! The CRC32 (IEEE, reflected) is a deliberate copy of the store crate's
-//! implementation: the wire format must never drift with a dependency,
-//! and the fountain crate takes none.
+//! The CRC32 (IEEE, reflected) is a deliberate bytewise copy of
+//! `medsen_wire::crc32`: the wire format must never drift with a
+//! dependency, and the fountain crate takes none.
 
 /// Frame kind for a fountain symbol. Chosen to collide with neither the
 /// store WAL kinds nor the phone AOAP message types (0x10..0x13), so a
@@ -252,8 +253,8 @@ mod tests {
 
     #[test]
     fn crc_check_value_is_pinned() {
-        // The IEEE CRC32 check value; shared with crates/store/src/frame.rs
-        // and must never drift.
+        // The IEEE CRC32 check value; shared with `medsen_wire::crc32`,
+        // which the wire and WAL frames use, and must never drift.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 

@@ -21,7 +21,7 @@
 //! - [`decode`] — [`Decoder`]: the peeling/belief-propagation decoder
 //!   with [`DecoderStats`] (including the decode overhead ratio).
 //! - [`frame`] — the length-prefixed + CRC32 symbol wire frame, in the
-//!   `crates/store` framing idiom. Corrupt frames are dropped like lost
+//!   `medsen-wire` framing idiom. Corrupt frames are dropped like lost
 //!   symbols; the code's redundancy covers both.
 //!
 //! Like `medsen-store`, `medsen-telemetry`, and `medsen-replica`, this

@@ -6,7 +6,8 @@
 //! per-symbol metadata a frame needs is the 8-byte symbol id. That makes
 //! the generator part of the codec contract: it is implemented here,
 //! from scratch, and must never drift with a dependency (the same
-//! reasoning that keeps the WAL's CRC in `medsen-store`).
+//! reasoning that keeps the frame CRC in the zero-dependency
+//! `medsen-wire`).
 //!
 //! The generator is xorshift64* — 3 shifts, 1 multiply, full 2^64−1
 //! period — seeded through a SplitMix64 finalizer so that adjacent seeds

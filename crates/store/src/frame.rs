@@ -1,6 +1,7 @@
-//! The on-disk WAL frame codec.
+//! The torn-tail scan over a WAL log.
 //!
-//! A log is a flat byte stream of length-prefixed, CRC32-guarded frames:
+//! A log is a flat byte stream of `medsen-wire` frames, written by
+//! [`medsen_wire::encode_frame`]:
 //!
 //! ```text
 //! ┌────────────┬────────────┬──────────┬─────────────────────┐
@@ -8,21 +9,15 @@
 //! └────────────┴────────────┴──────────┴─────────────────────┘
 //! ```
 //!
-//! `len` counts the body (`kind` + payload, so `len >= 1`) and `crc` is
-//! the CRC-32 (IEEE, reflected) of that body. The codec is deliberately
-//! self-synchronization-free: a frame that fails its length or checksum
-//! invariant ends the decodable region, and everything from its first
-//! byte onward is a *torn tail* the recovery path truncates. That is the
-//! right failure model for an append-only log — the only writer ever
-//! in-flight is the last one, so a bad frame can only be the final
-//! (possibly partially written or bit-flipped) append.
+//! The scan is deliberately self-synchronization-free: a frame that
+//! fails its length or checksum invariant ends the decodable region,
+//! and everything from its first byte onward is a *torn tail* the
+//! recovery path truncates. That is the right failure model for an
+//! append-only log — the only writer ever in-flight is the last one, so
+//! a bad frame can only be the final (possibly partially written or
+//! bit-flipped) append.
 
-/// Bytes of framing overhead per entry (`len` + `crc` + `kind`).
-pub const FRAME_OVERHEAD: usize = 9;
-
-/// Hard cap on one frame's body, so a corrupted length prefix cannot make
-/// the decoder treat the rest of a multi-gigabyte file as one frame.
-pub const MAX_FRAME_BYTES: usize = 64 << 20;
+use medsen_wire::FrameError;
 
 /// One decoded log entry: a caller-defined kind tag plus opaque payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,61 +26,6 @@ pub struct Frame {
     pub kind: u8,
     /// Opaque entry bytes.
     pub payload: Vec<u8>,
-}
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes`.
-///
-/// Re-exported from `medsen-wire`, the workspace's single CRC-32: the
-/// checksum is part of the persistence contract and must never drift
-/// with a dependency — and must stay bit-equal to the one the wire
-/// frames use, since replication ships WAL frames over that codec.
-pub use medsen_wire::crc32;
-
-/// Appends one encoded frame to `out`.
-///
-/// # Panics
-///
-/// Panics if `payload` exceeds [`MAX_FRAME_BYTES`] minus the kind byte —
-/// such a frame could never be decoded again.
-pub fn encode_frame(kind: u8, payload: &[u8], out: &mut Vec<u8>) {
-    let body_len = payload.len() + 1;
-    assert!(
-        body_len <= MAX_FRAME_BYTES,
-        "frame body of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-    );
-    out.reserve(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    let crc_at = out.len();
-    out.extend_from_slice(&[0; 4]);
-    out.push(kind);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[crc_at + 4..]);
-    out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// Why decoding stopped before the end of the input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Torn {
-    /// Fewer than [`FRAME_OVERHEAD`] header bytes remained.
-    TruncatedHeader,
-    /// The length prefix was zero or above [`MAX_FRAME_BYTES`].
-    BadLength,
-    /// The length prefix pointed past the end of the input.
-    TruncatedBody,
-    /// The body's CRC-32 did not match the header (bit rot or a torn
-    /// write that happened to leave the length intact).
-    BadChecksum,
-}
-
-impl std::fmt::Display for Torn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Torn::TruncatedHeader => write!(f, "truncated frame header"),
-            Torn::BadLength => write!(f, "implausible frame length"),
-            Torn::TruncatedBody => write!(f, "truncated frame body"),
-            Torn::BadChecksum => write!(f, "frame checksum mismatch"),
-        }
-    }
 }
 
 /// The result of decoding a log byte stream.
@@ -97,46 +37,34 @@ pub struct DecodedLog {
     /// this offset (plus any header the caller wrote before the frames).
     pub clean_len: usize,
     /// Why decoding stopped early, if it did. `None` means the whole
-    /// input decoded cleanly.
-    pub torn: Option<Torn>,
+    /// input decoded cleanly. Never [`FrameError::TrailingBytes`].
+    pub torn: Option<FrameError>,
 }
 
 /// Decodes a frame stream, stopping (never panicking) at the first frame
 /// that is incomplete or fails its checksum.
 pub fn decode_log(bytes: &[u8]) -> DecodedLog {
     let mut frames = Vec::new();
-    let mut offset = 0usize;
+    let mut rest = bytes;
     let mut torn = None;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < FRAME_OVERHEAD {
-            torn = Some(Torn::TruncatedHeader);
-            break;
+    while !rest.is_empty() {
+        match medsen_wire::split_frame(rest) {
+            Ok((kind, payload, tail)) => {
+                frames.push(Frame {
+                    kind,
+                    payload: payload.to_vec(),
+                });
+                rest = tail;
+            }
+            Err(err) => {
+                torn = Some(err);
+                break;
+            }
         }
-        let body_len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        if body_len == 0 || body_len > MAX_FRAME_BYTES {
-            torn = Some(Torn::BadLength);
-            break;
-        }
-        if rest.len() < 8 + body_len {
-            torn = Some(Torn::TruncatedBody);
-            break;
-        }
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        let body = &rest[8..8 + body_len];
-        if crc32(body) != crc {
-            torn = Some(Torn::BadChecksum);
-            break;
-        }
-        frames.push(Frame {
-            kind: body[0],
-            payload: body[1..].to_vec(),
-        });
-        offset += 8 + body_len;
     }
     DecodedLog {
         frames,
-        clean_len: offset,
+        clean_len: bytes.len() - rest.len(),
         torn,
     }
 }
@@ -144,17 +72,7 @@ pub fn decode_log(bytes: &[u8]) -> DecodedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
+    use medsen_wire::{encode_frame, FRAME_OVERHEAD};
 
     #[test]
     fn frames_round_trip_in_order() {
@@ -198,7 +116,7 @@ mod tests {
         let decoded = decode_log(&log);
         assert_eq!(decoded.frames.len(), 1);
         assert_eq!(decoded.clean_len, intact);
-        assert_eq!(decoded.torn, Some(Torn::BadChecksum));
+        assert_eq!(decoded.torn, Some(FrameError::BadChecksum));
     }
 
     #[test]
@@ -210,14 +128,14 @@ mod tests {
         log.extend_from_slice(&[0; 5]);
         let decoded = decode_log(&log);
         assert_eq!(decoded.clean_len, intact);
-        assert_eq!(decoded.torn, Some(Torn::BadLength));
+        assert_eq!(decoded.torn, Some(FrameError::BadLength));
 
         let mut log2 = Vec::new();
         log2.extend_from_slice(&(u32::MAX).to_le_bytes());
         log2.extend_from_slice(&[0; 64]);
         let decoded2 = decode_log(&log2);
         assert!(decoded2.frames.is_empty());
-        assert_eq!(decoded2.torn, Some(Torn::BadLength));
+        assert_eq!(decoded2.torn, Some(FrameError::BadLength));
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!
 //! Like `medsen-runtime`, this crate is **std-only**: durability is
 //! exactly the code that should not ride on vendored dependency stubs.
-//! Entries are opaque `(kind: u8, payload: bytes)` pairs — the typed
-//! enroll/store/tamper codec lives with the types it serializes, in
-//! `medsen-cloud`'s `persist` module.
+//! Log frames are `medsen-wire` frames, written and scanned by that
+//! crate's frame code; this crate adds only the torn-tail scan over a
+//! whole log. Entries are opaque `(kind: u8, payload: bytes)` pairs —
+//! the typed enroll/store/tamper encoding lives with the types it
+//! serializes, in `medsen-cloud`'s `persist` module.
 //!
 //! ## Recovery invariants
 //!
@@ -33,9 +35,7 @@ mod frame;
 mod set;
 mod wal;
 
-pub use frame::{
-    crc32, decode_log, encode_frame, DecodedLog, Frame, Torn, FRAME_OVERHEAD, MAX_FRAME_BYTES,
-};
+pub use frame::{decode_log, DecodedLog, Frame};
 pub use set::{AppendedFrame, Wal, WalStats};
 pub use wal::{ShardRecovery, WalError};
 

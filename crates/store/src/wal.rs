@@ -37,6 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::frame::{self, DecodedLog, Frame};
+use medsen_wire::{crc32, frame_to_vec};
 
 const LOG_MAGIC: &[u8; 8] = b"MSWAL01\n";
 const SNAP_MAGIC: &[u8; 8] = b"MSSNAP1\n";
@@ -235,8 +236,7 @@ impl ShardWal {
         payload: &[u8],
         sync_threshold: Option<u64>,
     ) -> io::Result<AppendOutcome> {
-        let mut buf = Vec::with_capacity(frame::FRAME_OVERHEAD + payload.len());
-        frame::encode_frame(kind, payload, &mut buf);
+        let buf = frame_to_vec(kind, payload);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.file.write_all(&buf)?;
         inner.pending += 1;
@@ -326,7 +326,7 @@ fn log_header(shard: u32, shard_count: u32) -> [u8; LOG_HEADER_LEN as usize] {
     header[0..8].copy_from_slice(LOG_MAGIC);
     header[8..12].copy_from_slice(&shard.to_le_bytes());
     header[12..16].copy_from_slice(&shard_count.to_le_bytes());
-    let crc = frame::crc32(&header[8..16]);
+    let crc = crc32(&header[8..16]);
     header[16..20].copy_from_slice(&crc.to_le_bytes());
     header
 }
@@ -347,7 +347,7 @@ fn check_log_header(
     let file_shard = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     let file_count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
     let crc = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
-    if frame::crc32(&bytes[8..16]) != crc {
+    if crc32(&bytes[8..16]) != crc {
         return Err(WalError::CorruptHeader {
             path: path.to_path_buf(),
             detail: "log header checksum mismatch".into(),
@@ -375,7 +375,7 @@ fn snap_header(shard: u32, shard_count: u32, payload: &[u8]) -> [u8; SNAP_HEADER
     header[8..12].copy_from_slice(&shard.to_le_bytes());
     header[12..16].copy_from_slice(&shard_count.to_le_bytes());
     header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    let crc = frame::crc32(payload);
+    let crc = crc32(payload);
     header[24..28].copy_from_slice(&crc.to_le_bytes());
     header
 }
@@ -399,7 +399,7 @@ fn read_snapshot(path: &Path, shard: u32, shard_count: u32) -> Result<Option<Vec
     }
     let file_shard = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     let file_count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
+    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
     let crc = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes"));
     if file_count != shard_count {
         return Err(WalError::LayoutMismatch {
@@ -414,18 +414,19 @@ fn read_snapshot(path: &Path, shard: u32, shard_count: u32) -> Result<Option<Vec
             detail: format!("snapshot stamped for shard {file_shard}, expected {shard}"),
         });
     }
-    if bytes.len() != SNAP_HEADER_LEN + payload_len {
+    // The length word is outside the payload CRC, so compare it in u64:
+    // a forged length near u64::MAX must not overflow a sum.
+    let actual_len = (bytes.len() - SNAP_HEADER_LEN) as u64;
+    if payload_len != actual_len {
         return Err(WalError::CorruptHeader {
             path: path.to_path_buf(),
             detail: format!(
-                "snapshot length {} does not match header ({})",
-                bytes.len(),
-                SNAP_HEADER_LEN + payload_len
+                "snapshot payload is {actual_len} bytes but its header says {payload_len}"
             ),
         });
     }
     let payload = bytes[SNAP_HEADER_LEN..].to_vec();
-    if frame::crc32(&payload) != crc {
+    if crc32(&payload) != crc {
         return Err(WalError::CorruptHeader {
             path: path.to_path_buf(),
             detail: "snapshot checksum mismatch".into(),
@@ -524,6 +525,28 @@ mod tests {
         assert_eq!(rec.snapshot.as_deref(), Some(&b"snapshot-state"[..]));
         assert_eq!(rec.frames.len(), 1);
         assert_eq!(rec.frames[0].payload, b"post-snapshot");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_snapshot_length_is_a_corrupt_header_not_an_overflow() {
+        let dir = temp_dir("snaplen");
+        drop(ShardWal::open(&dir, 0, 1).expect("open"));
+        let payload = b"state";
+        let mut file = snap_header(0, 1, payload).to_vec();
+        file.extend_from_slice(payload);
+        let snap_path = dir.join("snap-000.bin");
+        for forged in [u64::MAX, u64::MAX - (SNAP_HEADER_LEN as u64 - 1), 6] {
+            file[16..24].copy_from_slice(&forged.to_le_bytes());
+            fs::write(&snap_path, &file).expect("write forged snapshot");
+            match ShardWal::open(&dir, 0, 1) {
+                Err(WalError::CorruptHeader { detail, .. }) => {
+                    assert!(detail.contains(&forged.to_string()), "{detail}")
+                }
+                Err(other) => panic!("length {forged}: expected a corrupt header, got {other:?}"),
+                Ok(_) => panic!("length {forged}: a forged snapshot length was accepted"),
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

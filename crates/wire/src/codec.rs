@@ -15,6 +15,9 @@
 //!
 //! A full message is the frame from [`crate::frame`] whose payload is a
 //! format-version byte ([`WIRE_VERSION`]) followed by the root value.
+//! The same `[version][value]` payload without the frame is what
+//! [`encode_versioned`] writes: the WAL stores its entries and
+//! snapshots that way, so the disk and the wire share one encoding.
 //! Decoders are total: every malformed input returns [`WireError`],
 //! never panics, and a message that leaves undecoded payload bytes is
 //! rejected ([`WireError::TrailingBytes`]) so two peers cannot disagree
@@ -369,14 +372,39 @@ pub fn decode_message<T: WireMessage>(bytes: &[u8]) -> Result<T, WireError> {
             found: kind,
         });
     }
+    decode_versioned(payload)
+}
+
+/// Encodes `[version][value]` with no frame around it: the payload a
+/// [`decode_message`] frame carries, and what the WAL stores as one
+/// entry or one snapshot.
+pub fn encode_versioned<T: Wire>(value: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u8(WIRE_VERSION);
+    value.wire_encode(&mut w);
+    w.buf
+}
+
+/// Decodes a `[version][value]` payload written by [`encode_versioned`].
+/// Total, like [`decode_message`]: an unknown version byte (a JSON
+/// document's leading `{` included) is [`WireError::UnsupportedVersion`].
+pub fn decode_versioned<T: Wire>(payload: &[u8]) -> Result<T, WireError> {
+    let mut r = versioned_reader(payload)?;
+    let value = T::wire_decode(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// Checks the version byte at the head of a payload and returns a
+/// reader positioned after it. Every decoder, for the wire and the
+/// disk alike, applies the version rule through this function.
+fn versioned_reader(payload: &[u8]) -> Result<Reader<'_>, WireError> {
     let mut r = Reader::new(payload);
     let version = r.get_u8()?;
     if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion { version });
     }
-    let value = T::wire_decode(&mut r)?;
-    r.finish()?;
-    Ok(value)
+    Ok(r)
 }
 
 /// Kind-space bit marking a frame whose payload carries a trace-context
@@ -413,11 +441,7 @@ pub fn decode_message_traced<T: WireMessage>(bytes: &[u8]) -> Result<(T, Option<
             found: kind,
         });
     }
-    let mut r = Reader::new(payload);
-    let version = r.get_u8()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion { version });
-    }
+    let mut r = versioned_reader(payload)?;
     let trace = if kind & TRACED_KIND_BIT != 0 {
         match r.get_u64()? {
             0 => return Err(WireError::Invalid("traced frame with zero trace id")),
@@ -681,6 +705,28 @@ mod tests {
             WireError::UnsupportedVersion {
                 version: WIRE_VERSION + 1
             }
+        );
+    }
+
+    #[test]
+    fn versioned_pair_is_the_message_payload_without_its_frame() {
+        let bytes = encode_versioned(&probe());
+        let message = encode_message(&probe());
+        let (_, payload) = crate::frame::decode_frame(&message).expect("frame");
+        assert_eq!(bytes, payload);
+        assert_eq!(decode_versioned::<Probe>(&bytes), Ok(probe()));
+
+        // A JSON document's leading `{` is refused as a version byte.
+        assert_eq!(
+            decode_versioned::<Probe>(br#"{"id":1}"#),
+            Err(WireError::UnsupportedVersion { version: b'{' })
+        );
+        assert_eq!(decode_versioned::<Probe>(&[]), Err(WireError::Truncated));
+        let mut padded = bytes;
+        padded.push(0);
+        assert_eq!(
+            decode_versioned::<Probe>(&padded),
+            Err(WireError::TrailingBytes)
         );
     }
 

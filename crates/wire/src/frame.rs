@@ -1,10 +1,11 @@
 //! The single-message transport frame.
 //!
 //! Every cross-tier message travels inside one length-prefixed,
-//! CRC32-guarded frame — the same layout the WAL uses on disk
-//! (`crates/store/src/frame.rs`), because the failure model is the
-//! same: a frame that fails its length or checksum invariant is
-//! garbage and must be rejected without being interpreted.
+//! CRC32-guarded frame. The WAL writes and scans its log with this same
+//! code (`medsen-store` loops [`split_frame`] over a log file), because
+//! the failure model is the same: a frame that fails its length or
+//! checksum invariant is garbage and must be rejected without being
+//! interpreted.
 //!
 //! ```text
 //! ┌────────────┬────────────┬──────────┬─────────────────────┐
@@ -13,10 +14,12 @@
 //! ```
 //!
 //! `len` counts the body (`kind` + payload, so `len >= 1`) and `crc`
-//! is the CRC-32 (IEEE, reflected) of that body. Unlike the WAL
-//! decoder, which scans a stream and truncates a torn tail, this
-//! decoder expects exactly one frame and treats trailing bytes as an
-//! error — a transport message has no legitimate continuation.
+//! is the CRC-32 (IEEE, reflected) of that body. [`split_frame`] takes
+//! one frame off the front of a byte stream and hands back the rest;
+//! the WAL scan calls it until a frame fails, then truncates that torn
+//! tail. [`decode_frame`] expects exactly one frame and treats trailing
+//! bytes as an error — a transport message has no legitimate
+//! continuation.
 //!
 //! Decoding is zero-copy: [`decode_frame`] hands back a borrowed
 //! payload slice, so dispatch can route on the kind byte and pass the
@@ -28,7 +31,8 @@ use crate::crc::crc32;
 pub const FRAME_OVERHEAD: usize = 9;
 
 /// Hard cap on one frame's body, so a corrupted length prefix cannot
-/// make a receiver allocate gigabytes. Matches the WAL's cap.
+/// make a receiver allocate gigabytes, or make the WAL scan treat the
+/// rest of a large log as one frame.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Why a frame failed to decode.
@@ -109,9 +113,10 @@ pub fn frame_to_vec(kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decodes exactly one frame, returning the kind tag and a borrowed
-/// payload slice. Never panics on malformed input.
-pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8]), FrameError> {
+/// Decodes the frame at the front of `bytes`, returning its kind tag,
+/// a borrowed payload slice, and the bytes after it. Never panics on
+/// malformed input, and never returns [`FrameError::TrailingBytes`].
+pub fn split_frame(bytes: &[u8]) -> Result<(u8, &[u8], &[u8]), FrameError> {
     if bytes.len() < FRAME_OVERHEAD {
         return Err(FrameError::TruncatedHeader);
     }
@@ -122,15 +127,22 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8]), FrameError> {
     if bytes.len() < 8 + body_len {
         return Err(FrameError::TruncatedBody);
     }
-    if bytes.len() > 8 + body_len {
-        return Err(FrameError::TrailingBytes);
-    }
     let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let body = &bytes[8..8 + body_len];
+    let (body, rest) = bytes[8..].split_at(body_len);
     if crc32(body) != crc {
         return Err(FrameError::BadChecksum);
     }
-    Ok((body[0], &body[1..]))
+    Ok((body[0], &body[1..], rest))
+}
+
+/// Decodes exactly one frame, returning the kind tag and a borrowed
+/// payload slice. Never panics on malformed input.
+pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8]), FrameError> {
+    let (kind, payload, rest) = split_frame(bytes)?;
+    if !rest.is_empty() {
+        return Err(FrameError::TrailingBytes);
+    }
+    Ok((kind, payload))
 }
 
 #[cfg(test)]
@@ -182,6 +194,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn split_frame_hands_back_the_bytes_after_the_frame() {
+        let mut stream = frame_to_vec(1, b"first");
+        let second = frame_to_vec(2, b"second");
+        stream.extend_from_slice(&second);
+        let (kind, payload, rest) = split_frame(&stream).expect("first frame");
+        assert_eq!((kind, payload), (1, &b"first"[..]));
+        assert_eq!(rest, &second[..]);
+        let (kind, payload, rest) = split_frame(rest).expect("second frame");
+        assert_eq!((kind, payload), (2, &b"second"[..]));
+        assert!(rest.is_empty());
     }
 
     #[test]

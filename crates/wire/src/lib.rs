@@ -12,13 +12,15 @@
 //! * [`crc`] — the workspace's one CRC-32 (IEEE, reflected)
 //!   implementation, shared with the WAL and credential codecs;
 //! * [`frame`] — the length-prefixed, CRC-guarded, zero-copy transport
-//!   frame (`[len u32LE][crc u32LE][kind u8][payload]`), the same
-//!   layout the WAL uses on disk;
+//!   frame (`[len u32LE][crc u32LE][kind u8][payload]`), which the WAL
+//!   also writes and scans on disk;
 //! * [`codec`] — bounds-checked primitive readers/writers, the
 //!   [`Wire`] trait message types implement in their owning crates,
-//!   the versioned message envelope, and the [`WireCodec`] backend
-//!   trait with the [`BinaryWire`] backend (the JSON debug backend
-//!   lives in `medsen-phone`, next to its serializer).
+//!   the versioned message envelope and its frame-less
+//!   `[version][value]` payload (the WAL's entry and snapshot
+//!   encoding), and the [`WireCodec`] backend trait with the
+//!   [`BinaryWire`] backend (the JSON debug backend lives in
+//!   `medsen-phone`, next to its serializer).
 //!
 //! Every decoder in this crate is total: malformed input — truncated,
 //! bit-flipped, forged length, unknown tag — returns an error, never
@@ -33,11 +35,12 @@ pub mod crc;
 pub mod frame;
 
 pub use codec::{
-    decode_message, decode_message_traced, encode_message, encode_message_traced, BinaryWire,
-    Reader, Wire, WireCodec, WireError, WireFormat, WireMessage, Writer, TRACED_KIND_BIT,
-    WIRE_VERSION,
+    decode_message, decode_message_traced, decode_versioned, encode_message, encode_message_traced,
+    encode_versioned, BinaryWire, Reader, Wire, WireCodec, WireError, WireFormat, WireMessage,
+    Writer, TRACED_KIND_BIT, WIRE_VERSION,
 };
 pub use crc::crc32;
 pub use frame::{
-    decode_frame, encode_frame, frame_to_vec, FrameError, FRAME_OVERHEAD, MAX_FRAME_BYTES,
+    decode_frame, encode_frame, frame_to_vec, split_frame, FrameError, FRAME_OVERHEAD,
+    MAX_FRAME_BYTES,
 };

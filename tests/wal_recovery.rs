@@ -21,6 +21,9 @@
 //!   prefix.
 //! * **Layout skew** — a log written under an M-shard layout refuses to
 //!   open under N ≠ M.
+//! * **JSON-era directories** — entries and snapshots written in the
+//!   JSON encoding that preceded the binary one are refused at open with
+//!   a typed error, and no file is rewritten.
 //! * **Compaction and flush policies** — snapshots shrink the logs
 //!   without changing the recovered state; group-commit policies batch
 //!   fsyncs until `flush_storage` (or the interval flusher) forces them.
@@ -31,7 +34,7 @@ use medsen::cloud::service::{CloudService, Request, Response};
 use medsen::cloud::storage::StoredRecord;
 use medsen::cloud::{FlushPolicy, PeakReport, RecordId, StorageConfig, StorageError};
 use medsen::microfluidics::ParticleKind;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Barrier, Mutex};
 
@@ -504,4 +507,72 @@ fn interval_policy_flushes_in_the_background() {
     let recovered = durable(&dir, FlushPolicy::EveryWrite);
     assert_eq!(total_enrolled(&recovered), 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log entry and a snapshot exactly as the JSON encoding wrote them
+/// (`medsen_phone::to_json` of a `WalEntry`, and of the snapshot struct
+/// that preceded the binary entry list), for a one-shard layout.
+const JSON_ENROLL: &str =
+    r#"{"Enroll":{"identifier":"ana","signature":{"counts":{"Bead358":40}}}}"#;
+const JSON_STORE: &str = r#"{"Store":{"id":0,"record":{"user_id":"ana","report":{"peaks":[],"carriers_hz":[500000],"sample_rate_hz":450,"duration_s":1,"noise_sigma":0.0003},"signature":{"counts":{"Bead358":40}}}}}"#;
+const JSON_SNAPSHOT: &str = r#"{"enrolled":[{"identifier":"bo","signature":{"counts":{"Bead358":80}}}],"records":[{"id":1,"record":{"user_id":"bo","report":{"peaks":[],"carriers_hz":[500000],"sample_rate_hz":450,"duration_s":1,"noise_sigma":0.0003},"signature":{"counts":{"Bead358":80}}}}]}"#;
+
+fn dir_contents(dir: &Path) -> BTreeMap<std::ffi::OsString, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("read data dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            (
+                entry.file_name(),
+                std::fs::read(entry.path()).expect("read file"),
+            )
+        })
+        .collect()
+}
+
+/// Every JSON entry and snapshot starts with `{`, which no wire version
+/// uses: opening such a directory fails with a typed error naming that
+/// version before anything replays, and leaves every file as it was
+/// (the frames pass their CRCs, so nothing is truncated either).
+#[test]
+fn a_json_era_directory_is_refused_and_left_untouched() {
+    for with_snapshot in [false, true] {
+        let dir = temp_dir(&format!("json-era-{with_snapshot}"));
+        {
+            let (wal, _) =
+                medsen::store::Wal::open(&dir, 1, FlushPolicy::EveryWrite).expect("open raw");
+            if with_snapshot {
+                wal.install_snapshot(0, JSON_SNAPSHOT.as_bytes())
+                    .expect("install snapshot");
+            }
+            // Frame kinds 1 (enroll) and 2 (store) are the same in both
+            // encodings.
+            wal.append(0, 1, JSON_ENROLL.as_bytes()).expect("append");
+            wal.append(0, 2, JSON_STORE.as_bytes()).expect("append");
+        }
+        let before = dir_contents(&dir);
+        match CloudService::with_storage(&dir, 1, FlushPolicy::EveryWrite) {
+            Err(StorageError::Corrupt { shard, detail }) => {
+                assert_eq!(shard, 0);
+                let what = if with_snapshot {
+                    "snapshot"
+                } else {
+                    "log entry"
+                };
+                assert!(detail.starts_with(what), "{detail}");
+                assert!(
+                    detail.contains(&format!("unsupported wire version {}", b'{')),
+                    "{detail}"
+                );
+            }
+            Err(other) => panic!("expected a typed refusal, got {other}"),
+            Ok(_) => panic!("a JSON-era directory was replayed"),
+        }
+        assert_eq!(
+            dir_contents(&dir),
+            before,
+            "the refused open changed a file"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
