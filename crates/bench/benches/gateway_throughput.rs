@@ -258,7 +258,7 @@ fn telemetry_overhead(c: &mut Criterion) {
                     workers: WORKERS,
                     shed_policy: ShedPolicy::Block,
                 },
-                RuntimeKind::default(),
+                RuntimeKind::Async,
                 telemetry,
             );
             b.iter(|| {

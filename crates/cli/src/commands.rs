@@ -354,7 +354,6 @@ pub fn gateway(args: &[String], out: Out) -> Result<(), String> {
             "queue",
             "flaky",
             "seed",
-            "runtime",
             "shards",
             "data-dir",
             "flush",
@@ -375,10 +374,6 @@ pub fn gateway(args: &[String], out: Out) -> Result<(), String> {
     let flaky: f64 = parse(&options, "flaky", 0.1)?;
     let seed: u64 = parse(&options, "seed", 7)?;
     let shards: usize = parse(&options, "shards", medsen_cloud::DEFAULT_SHARD_COUNT)?;
-    let runtime: RuntimeKind = match options.get("runtime") {
-        Some(value) => value.parse().map_err(|e| format!("--runtime: {e}"))?,
-        None => RuntimeKind::default(),
-    };
     // `off` keeps the span machinery out of the hot path entirely;
     // counters and the end-of-run metrics block are always on.
     let telemetry_mode = match options.get("telemetry").map(String::as_str) {
@@ -532,13 +527,18 @@ pub fn gateway(args: &[String], out: Out) -> Result<(), String> {
         let gateway = Gateway::with_replicas(
             std::sync::Arc::clone(&pair),
             gateway_config,
-            runtime,
+            RuntimeKind::Async,
             telemetry_config,
         );
         (gateway, Some(pair))
     } else {
         (
-            Gateway::with_telemetry(service, gateway_config, runtime, telemetry_config),
+            Gateway::with_telemetry(
+                service,
+                gateway_config,
+                RuntimeKind::Async,
+                telemetry_config,
+            ),
             None,
         )
     };
@@ -622,7 +622,7 @@ pub fn gateway(args: &[String], out: Out) -> Result<(), String> {
     }
     let uplink_label = if fountain_uplink { "fountain" } else { "retry" };
     wl(out, format!(
-        "fleet: {sessions} sessions via {workers} workers (queue depth {queue}, {:.0}% flaky uplink, {uplink_label} uplink, {wire_format} wire, {runtime} runtime)",
+        "fleet: {sessions} sessions via {workers} workers (queue depth {queue}, {:.0}% flaky uplink, {uplink_label} uplink, {wire_format} wire)",
         flaky * 100.0
     ));
     wl(
@@ -827,7 +827,7 @@ pub fn replica_status(args: &[String], out: Out) -> Result<(), String> {
 /// without sizing a whole fleet run.
 pub fn telemetry(args: &[String], out: Out) -> Result<(), String> {
     use medsen_cloud::service::{CloudService, Request};
-    use medsen_gateway::{Gateway, GatewayConfig, RuntimeKind, ShedPolicy, TelemetryConfig};
+    use medsen_gateway::{Gateway, GatewayConfig, ShedPolicy};
     use medsen_impedance::PulseSpec;
     use medsen_impedance::TraceSynthesizer;
 
@@ -836,7 +836,7 @@ pub fn telemetry(args: &[String], out: Out) -> Result<(), String> {
         return Err(format!("unexpected argument `{}`", positional[0]));
     }
     for name in options.keys() {
-        if !["requests", "runtime"].contains(&name.as_str()) {
+        if name != "requests" {
             return Err(format!("unknown option --{name}"));
         }
     }
@@ -844,20 +844,14 @@ pub fn telemetry(args: &[String], out: Out) -> Result<(), String> {
     if !(1..=512).contains(&requests) {
         return Err("--requests must be in 1..=512".into());
     }
-    let runtime: RuntimeKind = match options.get("runtime") {
-        Some(value) => value.parse().map_err(|e| format!("--runtime: {e}"))?,
-        None => RuntimeKind::default(),
-    };
 
-    let gateway = Gateway::with_telemetry(
+    let gateway = Gateway::new(
         CloudService::new(),
         GatewayConfig {
             queue_capacity: 16,
             workers: 4,
             shed_policy: ShedPolicy::Block,
         },
-        runtime,
-        TelemetryConfig::default(),
     );
     let mut synth = TraceSynthesizer::clean(1);
     let trace = synth.render(

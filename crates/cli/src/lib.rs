@@ -28,8 +28,7 @@ COMMANDS:
     keylen    <cells> <electrodes> <gainbits> <flowbits>   Eq. 2 key length
     capability [--seed N] [--secret N] [--duration S]  practitioner key-sharing demo
     gateway   [--sessions N] [--workers N] [--queue N] [--flaky RATE] [--seed N]
-              [--runtime threads|async] [--shards N]
-              [--data-dir PATH] [--flush write|every:N|interval:MS]
+              [--shards N] [--data-dir PATH] [--flush write|every:N|interval:MS]
               [--telemetry text|json|off] [--replicas]
               [--uplink retry|fountain] [--symbol-budget FACTOR]
               [--wire binary|json]
@@ -57,7 +56,7 @@ COMMANDS:
                                                        shipping/lag/epoch status; with --kill,
                                                        crash the primary mid-run and show the
                                                        fenced failover
-    telemetry [--requests N] [--runtime threads|async] drive a small workload and pretty-print
+    telemetry [--requests N]                           drive a small workload and pretty-print
                                                        the telemetry snapshot (instruments +
                                                        slowest requests with stage breakdowns)
     soak      [--quick]                                 run the reconciling overload soak: a

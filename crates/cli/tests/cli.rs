@@ -122,27 +122,8 @@ fn gateway_serves_a_small_fleet() {
     ]);
     assert_eq!(code, 0, "{text}");
     assert!(text.contains("6 sessions via 2 workers"), "{text}");
-    assert!(text.contains("async runtime"), "{text}");
     assert!(text.contains("6 accepted as themselves"), "{text}");
     assert!(text.contains("queue high-water"), "{text}");
-}
-
-#[test]
-fn gateway_runs_on_either_runtime() {
-    for runtime in ["threads", "async"] {
-        let (code, text) = run(&[
-            "gateway",
-            "--sessions",
-            "4",
-            "--workers",
-            "2",
-            "--runtime",
-            runtime,
-        ]);
-        assert_eq!(code, 0, "{runtime}: {text}");
-        assert!(text.contains(&format!("{runtime} runtime")), "{text}");
-        assert!(text.contains("4 accepted as themselves"), "{text}");
-    }
 }
 
 #[test]
@@ -255,12 +236,6 @@ fn gateway_validates_options() {
     let (code, text) = run(&["gateway", "--flaky", "1.5"]);
     assert_eq!(code, 1);
     assert!(text.contains("--flaky"), "{text}");
-
-    let (code, text) = run(&["gateway", "--runtime", "fibers"]);
-    assert_eq!(code, 1);
-    assert!(text.contains("--runtime"), "{text}");
-    assert!(text.contains("unknown runtime `fibers`"), "{text}");
-    assert!(text.contains("expected `threads` or `async`"), "{text}");
 
     let (code, text) = run(&["gateway", "--shards", "0"]);
     assert_eq!(code, 1);

@@ -66,13 +66,21 @@ impl PeakReport {
         self.carriers_hz
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                (*a - hz)
-                    .abs()
-                    .partial_cmp(&(*b - hz).abs())
-                    .expect("finite carriers")
-            })
+            .min_by(|(_, a), (_, b)| (*a - hz).abs().total_cmp(&(*b - hz).abs()))
             .map(|(i, _)| i)
+    }
+
+    /// Whether every number in the report is finite. JSON cannot carry a
+    /// NaN or ±∞, so only a finite report reads the same in both wire
+    /// formats.
+    pub fn is_finite(&self) -> bool {
+        let finite = |xs: &[f64]| xs.iter().all(|x| x.is_finite());
+        finite(&[self.sample_rate_hz, self.duration_s, self.noise_sigma])
+            && finite(&self.carriers_hz)
+            && self
+                .peaks
+                .iter()
+                .all(|p| finite(&[p.time_s, p.amplitude, p.width_s]) && finite(&p.features))
     }
 }
 

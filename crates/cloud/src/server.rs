@@ -81,12 +81,7 @@ impl AnalysisServer {
             .channels()
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.carrier
-                    .value()
-                    .partial_cmp(&b.carrier.value())
-                    .expect("finite carriers")
-            })
+            .min_by(|(_, a), (_, b)| a.carrier.value().total_cmp(&b.carrier.value()))
             .map(|(i, _)| i)
             .expect("non-empty channels");
 

@@ -409,6 +409,18 @@ impl CloudService {
                             0,
                             started,
                         );
+                        // A finite trace can still divide by a zero
+                        // baseline: an all-zero channel, which is what a
+                        // disconnected electrode sends, detrends to NaN.
+                        // Refuse it in both formats alike, and cache
+                        // nothing for it.
+                        if !report.is_finite() {
+                            return Response::Error {
+                                reason:
+                                    "trace analysis is not finite: a channel has a zero baseline"
+                                        .into(),
+                            };
+                        }
                         self.cache.insert(digest, report.clone());
                         report
                     }
@@ -658,6 +670,25 @@ mod tests {
             Response::Error { reason } => assert!(reason.contains("no channels")),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn analyze_of_an_all_zero_trace_errors_and_caches_nothing() {
+        let mut svc = CloudService::new();
+        let mut electrode = medsen_impedance::Channel::new(medsen_units::Hertz::from_khz(500.0));
+        electrode.samples = vec![0.0; 900];
+        let zeros = SignalTrace::new(medsen_units::Hertz::new(450.0), vec![electrode]);
+        for _ in 0..2 {
+            match svc.handle(Request::Analyze {
+                trace: zeros.clone(),
+                authenticate: false,
+            }) {
+                Response::Error { reason } => assert!(reason.contains("not finite"), "{reason}"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let stats = svc.cache_stats();
+        assert_eq!((stats.misses, stats.entries), (2, 0));
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //! FNV-1a — never `std`'s randomly seeded hasher.
 
 use crate::auth::{decision_from_candidates, AuthDecision, AuthService, BeadSignature};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 /// Hard cap on shard counts: the shard index and the shard count must
 /// both fit the 8-bit fields [`RecordId`](crate::storage::RecordId)
@@ -83,6 +82,20 @@ impl AuthShard {
             contended_writes: AtomicU64::new(0),
         }
     }
+
+    /// Read-locks the shard. A panic under its write lock cannot leave
+    /// the database half-written (the journal, the one hook that fails
+    /// stop, runs before the single-insert mutation), so a poisoned lock
+    /// is recovered rather than wedging every later request.
+    fn read(&self) -> RwLockReadGuard<'_, AuthService> {
+        self.auth.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Write-locks the shard, recovering from poisoning as
+    /// [`AuthShard::read`] does.
+    fn write(&self) -> RwLockWriteGuard<'_, AuthService> {
+        self.auth.write().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// Write-ahead hook for enrollment mutations, invoked *inside* the
@@ -137,14 +150,16 @@ impl ShardedAuth {
     }
 
     /// Write-locks one shard, counting acquisitions and contention.
-    fn write(&self, index: usize) -> parking_lot::RwLockWriteGuard<'_, AuthService> {
+    fn write(&self, index: usize) -> RwLockWriteGuard<'_, AuthService> {
         let shard = &self.shards[index];
         shard.write_acquisitions.fetch_add(1, Ordering::Relaxed);
         match shard.auth.try_write() {
-            Some(guard) => guard,
-            None => {
+            Ok(guard) => guard,
+            // A poisoned lock was free: acquired, not contended.
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => {
                 shard.contended_writes.fetch_add(1, Ordering::Relaxed);
-                shard.auth.write()
+                shard.write()
             }
         }
     }
@@ -175,17 +190,14 @@ impl ShardedAuth {
     /// journal (the entry is already on disk) and the contention
     /// counters (recovery runs before the service takes traffic).
     pub(crate) fn restore_enroll(&self, shard: usize, user_id: String, signature: BeadSignature) {
-        self.shards[shard].auth.write().enroll(user_id, signature);
+        self.shards[shard].write().enroll(user_id, signature);
     }
 
     /// Write-locks one shard's enrollment database for the compactor,
     /// bypassing the contention counters (compaction pauses are reported
     /// through the WAL snapshot stats instead).
-    pub(crate) fn write_shard(
-        &self,
-        index: usize,
-    ) -> parking_lot::RwLockWriteGuard<'_, AuthService> {
-        self.shards[index].auth.write()
+    pub(crate) fn write_shard(&self, index: usize) -> RwLockWriteGuard<'_, AuthService> {
+        self.shards[index].write()
     }
 
     /// Authenticates a measured signature against every shard's
@@ -195,7 +207,7 @@ impl ShardedAuth {
     pub fn authenticate(&self, measured: &BeadSignature) -> AuthDecision {
         let mut candidates: Vec<String> = Vec::new();
         for shard in &self.shards {
-            candidates.extend(shard.auth.read().matching_users(measured));
+            candidates.extend(shard.read().matching_users(measured));
         }
         candidates.sort();
         decision_from_candidates(candidates)
@@ -205,17 +217,13 @@ impl ShardedAuth {
     pub fn verify_integrity(&self, user_id: &str, recovered: &BeadSignature) -> bool {
         let index = shard_index(user_id, self.shards.len());
         self.shards[index]
-            .auth
             .read()
             .verify_integrity(user_id, recovered)
     }
 
     /// Total identifiers enrolled across all shards.
     pub fn enrolled_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.auth.read().enrolled_count())
-            .sum()
+        self.shards.iter().map(|s| s.read().enrolled_count()).sum()
     }
 
     /// Per-shard occupancy and contention counters (`records` left zero;
@@ -224,7 +232,7 @@ impl ShardedAuth {
         self.shards
             .iter()
             .map(|s| ShardStats {
-                enrolled: s.auth.read().enrolled_count(),
+                enrolled: s.read().enrolled_count(),
                 records: 0,
                 write_acquisitions: s.write_acquisitions.load(Ordering::Relaxed),
                 contended_writes: s.contended_writes.load(Ordering::Relaxed),
@@ -370,5 +378,35 @@ mod tests {
             }
         });
         assert_eq!(auth.enrolled_count(), 400);
+    }
+
+    /// A thread that panics while holding a shard's write lock poisons
+    /// it; the shard must keep serving enrollments and authentications,
+    /// and the poisoned lock must count as acquired, not contended.
+    #[test]
+    fn a_panic_under_a_shard_write_lock_does_not_wedge_the_shard() {
+        let auth = ShardedAuth::new(4);
+        let index = shard_index("alice", 4);
+        let crashed = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = auth.write_shard(index);
+                    panic!("crash while holding the shard write lock");
+                })
+                .join()
+        });
+        assert!(crashed.is_err());
+        auth.enroll("alice", sig(100));
+        assert_eq!(
+            auth.authenticate(&sig(101)),
+            AuthDecision::Accepted {
+                user_id: "alice".into()
+            }
+        );
+        assert!(auth.verify_integrity("alice", &sig(100)));
+        assert_eq!(auth.enrolled_count(), 1);
+        let stats = auth.stats()[index];
+        assert_eq!(stats.write_acquisitions, 1);
+        assert_eq!(stats.contended_writes, 0);
     }
 }

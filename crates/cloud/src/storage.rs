@@ -18,11 +18,10 @@ use crate::api::PeakReport;
 use crate::auth::BeadSignature;
 use crate::shard::{shard_index, MAX_SHARDS};
 use medsen_wire::{Reader, Wire, WireError, Writer};
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Bits of a [`RecordId`] holding the per-shard sequence number.
 const SEQUENCE_BITS: u32 = 48;
@@ -141,6 +140,22 @@ struct StoreShard {
     next_sequence: AtomicU64,
 }
 
+impl StoreShard {
+    /// Read-locks the shard's map. A panic under its write lock cannot
+    /// leave the map half-written (the journal, the one hook that fails
+    /// stop, runs before the single-insert mutation), so a poisoned lock
+    /// is recovered rather than wedging every later request.
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<RecordId, StoredRecord>> {
+        self.records.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Write-locks the shard's map, recovering from poisoning as
+    /// [`StoreShard::read`] does.
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<RecordId, StoredRecord>> {
+        self.records.write().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 /// A concurrent, identifier-hash-sharded record store.
 #[derive(Debug)]
 pub struct RecordStore {
@@ -204,7 +219,7 @@ impl RecordStore {
     pub fn store(&self, record: StoredRecord) -> RecordId {
         let shard = shard_index(&record.user_id, self.shards.len());
         let slot = &self.shards[shard];
-        let mut records = slot.records.write();
+        let mut records = slot.write();
         let sequence = slot.next_sequence.fetch_add(1, Ordering::Relaxed);
         let id = RecordId::compose(shard, self.shards.len(), sequence);
         if let Some(journal) = &self.journal {
@@ -228,7 +243,7 @@ impl RecordStore {
             self.shards.len()
         );
         let slot = &self.shards[id.shard()];
-        let mut records = slot.records.write();
+        let mut records = slot.write();
         slot.next_sequence
             .fetch_max(id.sequence() + 1, Ordering::Relaxed);
         records.insert(id, record);
@@ -239,8 +254,8 @@ impl RecordStore {
     pub(crate) fn write_shard(
         &self,
         shard: usize,
-    ) -> parking_lot::RwLockWriteGuard<'_, HashMap<RecordId, StoredRecord>> {
-        self.shards[shard].records.write()
+    ) -> RwLockWriteGuard<'_, HashMap<RecordId, StoredRecord>> {
+        self.shards[shard].write()
     }
 
     /// Fetches a record by id. Ids minted under a different shard layout
@@ -249,7 +264,7 @@ impl RecordStore {
         if !self.owns(id) {
             return None;
         }
-        self.shards[id.shard()].records.read().get(&id).cloned()
+        self.shards[id.shard()].read().get(&id).cloned()
     }
 
     /// All record ids filed under a user, in id order.
@@ -264,7 +279,6 @@ impl RecordStore {
             .iter()
             .flat_map(|shard| {
                 shard
-                    .records
                     .read()
                     .iter()
                     .filter(|(_, r)| r.user_id == user_id)
@@ -278,17 +292,17 @@ impl RecordStore {
 
     /// Number of stored records across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.records.read().len()).sum()
+        self.shards.iter().map(|s| s.read().len()).sum()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.records.read().is_empty())
+        self.shards.iter().all(|s| s.read().is_empty())
     }
 
     /// Records per shard, in shard order (for metrics).
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.records.read().len()).collect()
+        self.shards.iter().map(|s| s.read().len()).collect()
     }
 
     /// Overwrites a record in place (models a tampering cloud insider for
@@ -298,7 +312,7 @@ impl RecordStore {
         if !self.owns(id) {
             return false;
         }
-        let mut records = self.shards[id.shard()].records.write();
+        let mut records = self.shards[id.shard()].write();
         if let std::collections::hash_map::Entry::Occupied(mut e) = records.entry(id) {
             if let Some(journal) = &self.journal {
                 journal.record_tampered(id, &record);
@@ -531,5 +545,27 @@ mod tests {
         for i in 0..8 {
             assert_eq!(store.records_of(&format!("user{i}")).len(), 50);
         }
+    }
+
+    /// A thread that panics while holding a shard's write lock poisons
+    /// it; storing and fetching on that shard must still work.
+    #[test]
+    fn a_panic_under_a_shard_write_lock_does_not_wedge_the_store() {
+        let store = RecordStore::with_shards(4);
+        let shard = shard_index("alice", 4);
+        let crashed = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = store.write_shard(shard);
+                    panic!("crash while holding the shard write lock");
+                })
+                .join()
+        });
+        assert!(crashed.is_err());
+        let id = store.store(record("alice"));
+        assert_eq!(id.shard(), shard);
+        assert_eq!(store.fetch(id), Some(record("alice")));
+        assert_eq!(store.records_of("alice"), vec![id]);
+        assert_eq!(store.len(), 1);
     }
 }

@@ -172,8 +172,7 @@ impl Classifier {
             .iter()
             .min_by(|a, b| {
                 a.neg_log_likelihood(fv)
-                    .partial_cmp(&b.neg_log_likelihood(fv))
-                    .expect("finite scores")
+                    .total_cmp(&b.neg_log_likelihood(fv))
             })
             .map(|c| c.label.as_str())
             .expect("trained classifier has classes"))

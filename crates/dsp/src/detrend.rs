@@ -32,7 +32,7 @@ fn robust_fit(ys: &[f64], order: usize) -> Polynomial {
         .collect();
     // Robust scale: median absolute deviation.
     let mut abs: Vec<f64> = residuals.iter().map(|r| r.abs()).collect();
-    abs.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
+    abs.sort_by(f64::total_cmp);
     let mad = abs[abs.len() / 2];
     let sigma = (1.4826 * mad).max(1e-9);
     let weights: Vec<f64> = residuals
@@ -174,6 +174,14 @@ mod tests {
         let depth = detrend_segmented(&sig, &DetrendConfig::paper_default());
         let worst = depth.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
         assert!(worst < 5e-4, "residual baseline {worst}");
+    }
+
+    #[test]
+    fn an_all_zero_signal_detrends_without_panicking() {
+        // A zero baseline makes every depth 0/0: NaN out, not a panic.
+        let depth = detrend_segmented(&[0.0; 5_000], &DetrendConfig::paper_default());
+        assert_eq!(depth.len(), 5_000);
+        assert!(depth.iter().all(|d| d.is_nan()));
     }
 
     #[test]

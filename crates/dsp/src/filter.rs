@@ -37,7 +37,7 @@ pub fn median_filter(xs: &[f64], half: usize) -> Vec<f64> {
             let hi = (i + half + 1).min(n);
             scratch.clear();
             scratch.extend_from_slice(&xs[lo..hi]);
-            scratch.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+            scratch.sort_by(f64::total_cmp);
             scratch[scratch.len() / 2]
         })
         .collect()

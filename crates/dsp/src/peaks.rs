@@ -110,7 +110,7 @@ impl ThresholdDetector {
                     .iter()
                     .enumerate()
                     .map(|(k, &v)| (s + k, v))
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite depths"))
+                    .max_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("non-empty run");
                 let width_samples = e - s;
                 Peak {

@@ -127,12 +127,7 @@ fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
     for col in 0..n {
         // Partial pivot.
         let pivot_row = (col..n)
-            .max_by(|&r1, &r2| {
-                a[r1][col]
-                    .abs()
-                    .partial_cmp(&a[r2][col].abs())
-                    .expect("finite matrix entries")
-            })
+            .max_by(|&r1, &r2| a[r1][col].abs().total_cmp(&a[r2][col].abs()))
             .expect("non-empty system");
         if a[pivot_row][col].abs() < 1e-12 {
             panic!("singular system in polynomial fit");

@@ -43,7 +43,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    sorted.sort_by(f64::total_cmp);
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -63,10 +63,10 @@ pub fn robust_sigma(xs: &[f64]) -> f64 {
         return 0.0;
     }
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    sorted.sort_by(f64::total_cmp);
     let median = sorted[sorted.len() / 2];
     let mut deviations: Vec<f64> = xs.iter().map(|x| (x - median).abs()).collect();
-    deviations.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    deviations.sort_by(f64::total_cmp);
     1.4826 * deviations[deviations.len() / 2]
 }
 

@@ -132,7 +132,7 @@ impl StreamingAnalyzer {
                 .map(|(i, &y)| 1.0 - y / first.eval_at_index(i))
                 .collect();
             let mut abs: Vec<f64> = residuals.iter().map(|r| r.abs()).collect();
-            abs.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
+            abs.sort_by(f64::total_cmp);
             let sigma = (1.4826 * abs[abs.len() / 2]).max(1e-9);
             let weights: Vec<f64> = residuals
                 .iter()

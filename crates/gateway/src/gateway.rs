@@ -17,17 +17,11 @@
 //! session id. With one shard (or one worker) this degenerates to the
 //! original single-queue gateway.
 //!
-//! Two interchangeable engines implement the pool, selected by
-//! [`RuntimeKind`]:
-//!
-//! * [`RuntimeKind::Async`] (the default) — M worker *tasks* multiplexed
-//!   over a fixed pool of `medsen-runtime` executor threads, pulling from
-//!   the runtime's async MPMC channel. Idle workers cost a task, not a
-//!   thread, which is what lets one gateway host thousands of
-//!   low-duty-cycle sessions.
-//! * [`RuntimeKind::Threads`] — the original OS-thread-per-worker pool on
-//!   a crossbeam channel, kept as a baseline and selectable from the CLI
-//!   via `--runtime threads`.
+//! The pool is M worker *tasks* multiplexed over a fixed pool of
+//! `medsen-runtime` executor threads, each lane being one of the
+//! runtime's async MPMC channels. Idle workers cost a task, not a
+//! thread, which is what lets one gateway host thousands of
+//! low-duty-cycle sessions.
 //!
 //! Backpressure is explicit: when the queue is full the [`ShedPolicy`]
 //! either blocks the submitter or sheds the request with a retry-after
@@ -42,7 +36,6 @@ use crate::fountain::{
 use crate::limit::{RateLimitConfig, RateLimiter};
 use crate::metrics::{GatewayMetrics, MetricsSnapshot};
 use crate::wire;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use medsen_cloud::service::{CloudService, Request, Response};
 use medsen_cloud::ReplicatedCloud;
 use medsen_fountain::{decode_symbol_frame, DecoderStats, SymbolFrameError};
@@ -56,6 +49,7 @@ use medsen_units::Seconds;
 use medsen_wire::WireFormat;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -66,8 +60,8 @@ use std::time::{Duration, Instant};
 /// shed-heavy fleet test no longer burns wall-clock seconds.
 const TIME_COMPRESSION: f64 = 50.0;
 
-/// Upper bound on executor threads for the async engine; worker *tasks*
-/// scale independently of this.
+/// Upper bound on executor threads; worker *tasks* scale independently
+/// of this.
 const MAX_EXECUTOR_THREADS: usize = 8;
 
 /// One adaptive-sampler feedback observation per this many arrivals
@@ -75,37 +69,14 @@ const MAX_EXECUTOR_THREADS: usize = 8;
 /// a mask, not a modulo.
 const SAMPLER_OBSERVE_STRIDE: u64 = 1024;
 
-/// Which concurrency engine drives the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The worker engine argument of [`Gateway::with_telemetry`] and
+/// [`Gateway::with_replicas`]. It selects nothing: the gateway has one
+/// engine, worker tasks on the `medsen-runtime` executor, and this
+/// single-variant type only keeps those two signatures stable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeKind {
-    /// One OS thread per worker (the original engine).
-    Threads,
     /// Worker tasks on the `medsen-runtime` executor (fixed thread pool).
-    #[default]
     Async,
-}
-
-impl fmt::Display for RuntimeKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuntimeKind::Threads => write!(f, "threads"),
-            RuntimeKind::Async => write!(f, "async"),
-        }
-    }
-}
-
-impl std::str::FromStr for RuntimeKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "threads" => Ok(RuntimeKind::Threads),
-            "async" => Ok(RuntimeKind::Async),
-            other => Err(format!(
-                "unknown runtime `{other}` (expected `threads` or `async`)"
-            )),
-        }
-    }
 }
 
 /// What to do with a submission when the work queue is full.
@@ -126,8 +97,7 @@ pub enum ShedPolicy {
 pub struct GatewayConfig {
     /// Bounded work-queue capacity (must be > 0).
     pub queue_capacity: usize,
-    /// Worker count: tasks under [`RuntimeKind::Async`], OS threads under
-    /// [`RuntimeKind::Threads`]. `0` is allowed and means "never drain" —
+    /// Worker task count. `0` is allowed and means "never drain" —
     /// useful for deterministically exercising the backpressure path in
     /// tests.
     pub workers: usize,
@@ -533,7 +503,7 @@ impl ServiceRoute {
 
 struct WorkItem {
     upload: Vec<u8>,
-    reply: Sender<Vec<u8>>,
+    reply: SyncSender<Vec<u8>>,
     /// When the submitter entered `submit_keyed` — the start of the
     /// request's end-to-end latency (exemplar total).
     admitted: Instant,
@@ -547,23 +517,13 @@ struct WorkItem {
     trace: Option<ActiveTrace>,
 }
 
-/// The original engine: one OS thread per worker, now on one crossbeam
-/// channel per lane.
-struct ThreadEngine {
-    lanes: Vec<Sender<WorkItem>>,
-    // Keeps the channels connected even with a zero-worker pool (used by
-    // tests to freeze the queue); workers hold their own clones.
-    _rxs: Vec<Receiver<WorkItem>>,
-    workers: Vec<thread::JoinHandle<()>>,
-}
-
 /// The task engine: M worker tasks over N executor threads, one runtime
 /// channel per lane.
 struct AsyncEngine {
     executor: runtime::Executor,
     lanes: Vec<runtime::channel::Sender<WorkItem>>,
-    // Same zero-worker trick as the thread engine: hold receivers so the
-    // queues can fill without disconnecting.
+    // Keeps the channels connected even with a zero-worker pool (used by
+    // tests to freeze the queue); workers hold their own clones.
     _rxs: Vec<runtime::channel::Receiver<WorkItem>>,
     tasks: Vec<runtime::JoinHandle<()>>,
 }
@@ -588,11 +548,6 @@ impl Drop for AsyncEngine {
     }
 }
 
-enum Engine {
-    Threads(ThreadEngine),
-    Async(AsyncEngine),
-}
-
 /// The multi-session ingestion gateway.
 pub struct Gateway {
     route: ServiceRoute,
@@ -603,13 +558,12 @@ pub struct Gateway {
     registry: Arc<Registry>,
     /// Span ring + exemplars, when [`TelemetryConfig::spans`] is on.
     tracing: Option<Arc<GatewayTracing>>,
-    engine: Engine,
+    engine: AsyncEngine,
     /// Time-compressed wheel pacing shed retry-after and backoff waits.
     /// Created lazily on the first paced wait: a scaled timer owns a
     /// driver thread, and gateways that never shed should not pay for one.
     pacer: OnceLock<runtime::Timer>,
     shed_policy: ShedPolicy,
-    runtime_kind: RuntimeKind,
     next_session: AtomicU64,
     /// Admin drain state: once set, new submissions are refused with
     /// [`SubmitError::Closed`] while the workers keep serving what is
@@ -634,61 +588,43 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Spawns the worker pool in front of `service` on the default
-    /// (async) engine.
-    pub fn new(service: CloudService, config: GatewayConfig) -> Self {
-        Self::with_runtime(service, config, RuntimeKind::default())
-    }
-
-    /// Spawns the worker pool on an explicitly chosen engine with default
+    /// Spawns the worker pool in front of `service` with default
     /// telemetry (spans on, default ring and exemplar sizing).
-    pub fn with_runtime(
-        service: CloudService,
-        config: GatewayConfig,
-        runtime_kind: RuntimeKind,
-    ) -> Self {
-        Self::with_telemetry(service, config, runtime_kind, TelemetryConfig::default())
+    pub fn new(service: CloudService, config: GatewayConfig) -> Self {
+        Self::with_telemetry(
+            service,
+            config,
+            RuntimeKind::Async,
+            TelemetryConfig::default(),
+        )
     }
 
     /// Spawns the worker pool with explicit span-tracing knobs.
+    /// `_runtime` selects nothing (see [`RuntimeKind`]).
     pub fn with_telemetry(
         service: CloudService,
         config: GatewayConfig,
-        runtime_kind: RuntimeKind,
+        _runtime: RuntimeKind,
         telemetry: TelemetryConfig,
     ) -> Self {
-        Self::build(
-            ServiceRoute::Single(Arc::new(service)),
-            config,
-            runtime_kind,
-            telemetry,
-        )
+        Self::build(ServiceRoute::Single(Arc::new(service)), config, telemetry)
     }
 
     /// Spawns the worker pool in front of a replicated pair. Requests
     /// route to the pair's current serving node on every dispatch, so a
     /// primary death fails the fleet over to the promoted standby without
-    /// touching the sessions.
+    /// touching the sessions. `_runtime` selects nothing (see
+    /// [`RuntimeKind`]).
     pub fn with_replicas(
         replicas: Arc<ReplicatedCloud>,
         config: GatewayConfig,
-        runtime_kind: RuntimeKind,
+        _runtime: RuntimeKind,
         telemetry: TelemetryConfig,
     ) -> Self {
-        Self::build(
-            ServiceRoute::Replicated(replicas),
-            config,
-            runtime_kind,
-            telemetry,
-        )
+        Self::build(ServiceRoute::Replicated(replicas), config, telemetry)
     }
 
-    fn build(
-        route: ServiceRoute,
-        config: GatewayConfig,
-        runtime_kind: RuntimeKind,
-        telemetry: TelemetryConfig,
-    ) -> Self {
+    fn build(route: ServiceRoute, config: GatewayConfig, telemetry: TelemetryConfig) -> Self {
         let lanes = lane_count_for(route.serving_ref().shard_count(), config.workers);
         // `queue_capacity` stays the *total* budget: splitting it across
         // lanes preserves the seed invariant that at most `queue_capacity`
@@ -711,61 +647,29 @@ impl Gateway {
             })
         });
         let paused = Arc::new(AtomicBool::new(false));
-        let engine = match runtime_kind {
-            RuntimeKind::Threads => {
-                let mut txs = Vec::with_capacity(lanes);
-                let mut rxs = Vec::with_capacity(lanes);
-                for _ in 0..lanes {
-                    let (tx, rx) = bounded::<WorkItem>(per_lane_capacity);
-                    txs.push(tx);
-                    rxs.push(rx);
-                }
-                let workers = (0..config.workers)
-                    .map(|i| {
-                        let rx = rxs[i % lanes].clone();
-                        let route = route.clone();
-                        let metrics = Arc::clone(&metrics);
-                        let tracing = tracing.clone();
-                        let paused = Arc::clone(&paused);
-                        thread::Builder::new()
-                            .name(format!("gateway-worker-{i}"))
-                            .spawn(move || worker_loop(rx, route, metrics, tracing, paused))
-                            .expect("spawn gateway worker")
-                    })
-                    .collect();
-                Engine::Threads(ThreadEngine {
-                    lanes: txs,
-                    _rxs: rxs,
-                    workers,
-                })
-            }
-            RuntimeKind::Async => {
-                let executor =
-                    runtime::Executor::new(config.workers.clamp(1, MAX_EXECUTOR_THREADS));
-                let mut txs = Vec::with_capacity(lanes);
-                let mut rxs = Vec::with_capacity(lanes);
-                for _ in 0..lanes {
-                    let (tx, rx) = runtime::channel::bounded::<WorkItem>(per_lane_capacity);
-                    txs.push(tx);
-                    rxs.push(rx);
-                }
-                let tasks = (0..config.workers)
-                    .map(|i| {
-                        let rx = rxs[i % lanes].clone();
-                        let route = route.clone();
-                        let metrics = Arc::clone(&metrics);
-                        let tracing = tracing.clone();
-                        let paused = Arc::clone(&paused);
-                        executor.spawn(worker_task(rx, route, metrics, tracing, paused))
-                    })
-                    .collect();
-                Engine::Async(AsyncEngine {
-                    executor,
-                    lanes: txs,
-                    _rxs: rxs,
-                    tasks,
-                })
-            }
+        let executor = runtime::Executor::new(config.workers.clamp(1, MAX_EXECUTOR_THREADS));
+        let mut txs = Vec::with_capacity(lanes);
+        let mut rxs = Vec::with_capacity(lanes);
+        for _ in 0..lanes {
+            let (tx, rx) = runtime::channel::bounded::<WorkItem>(per_lane_capacity);
+            txs.push(tx);
+            rxs.push(rx);
+        }
+        let tasks = (0..config.workers)
+            .map(|i| {
+                let rx = rxs[i % lanes].clone();
+                let route = route.clone();
+                let metrics = Arc::clone(&metrics);
+                let tracing = tracing.clone();
+                let paused = Arc::clone(&paused);
+                executor.spawn(worker_task(rx, route, metrics, tracing, paused))
+            })
+            .collect();
+        let engine = AsyncEngine {
+            executor,
+            lanes: txs,
+            _rxs: rxs,
+            tasks,
         };
         Self {
             route,
@@ -775,7 +679,6 @@ impl Gateway {
             engine,
             pacer: OnceLock::new(),
             shed_policy: config.shed_policy,
-            runtime_kind,
             next_session: AtomicU64::new(1),
             drained: AtomicBool::new(false),
             paused,
@@ -784,11 +687,6 @@ impl Gateway {
             limiter: Mutex::new(None),
             sampler_tick: AtomicU64::new(0),
         }
-    }
-
-    /// Which engine this gateway runs on.
-    pub fn runtime_kind(&self) -> RuntimeKind {
-        self.runtime_kind
     }
 
     /// The cloud service requests currently route to (for fleet-level
@@ -907,10 +805,7 @@ impl Gateway {
     /// How many queue lanes this gateway runs
     /// (`shards.min(workers).max(1)`).
     pub fn lane_count(&self) -> usize {
-        match &self.engine {
-            Engine::Threads(engine) => engine.lanes.len(),
-            Engine::Async(engine) => engine.lanes.len(),
-        }
+        self.engine.lanes.len()
     }
 
     pub(crate) fn metrics_handle(&self) -> &GatewayMetrics {
@@ -1101,7 +996,7 @@ impl Gateway {
         // the same fallback the worker's error path uses, so the reply
         // and the handle always agree on the encoding.
         let format = wire::peek_format(&upload).unwrap_or(WireFormat::Json);
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         let item = WorkItem {
             upload,
             reply: reply_tx,
@@ -1110,63 +1005,32 @@ impl Gateway {
             lane: lane as u32,
             trace: trace.clone(),
         };
-        let lane_depth = match &self.engine {
-            Engine::Threads(engine) => {
-                let tx = &engine.lanes[lane];
-                match self.shed_policy {
-                    ShedPolicy::Block => {
-                        if let Err(e) = tx.send(item) {
-                            return Err(SubmitError::Closed { upload: e.0.upload });
-                        }
-                    }
-                    ShedPolicy::Reject { retry_after } => match tx.try_send(item) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(item)) => {
-                            self.metrics.on_rejected();
-                            return Err(SubmitError::Busy {
-                                retry_after,
-                                upload: item.upload,
-                            });
-                        }
-                        Err(TrySendError::Disconnected(item)) => {
-                            return Err(SubmitError::Closed {
-                                upload: item.upload,
-                            });
-                        }
-                    },
+        let tx = &self.engine.lanes[lane];
+        match self.shed_policy {
+            ShedPolicy::Block => {
+                if let Err(e) = runtime::block_on(tx.send(item)) {
+                    return Err(SubmitError::Closed { upload: e.0.upload });
                 }
-                tx.len()
             }
-            Engine::Async(engine) => {
-                let tx = &engine.lanes[lane];
-                match self.shed_policy {
-                    ShedPolicy::Block => {
-                        if let Err(e) = runtime::block_on(tx.send(item)) {
-                            return Err(SubmitError::Closed { upload: e.0.upload });
-                        }
-                    }
-                    ShedPolicy::Reject { retry_after } => match tx.try_send(item) {
-                        Ok(()) => {}
-                        Err(runtime::channel::TrySendError::Full(item)) => {
-                            self.metrics.on_rejected();
-                            return Err(SubmitError::Busy {
-                                retry_after,
-                                upload: item.upload,
-                            });
-                        }
-                        Err(runtime::channel::TrySendError::Closed(item)) => {
-                            return Err(SubmitError::Closed {
-                                upload: item.upload,
-                            });
-                        }
-                    },
+            ShedPolicy::Reject { retry_after } => match tx.try_send(item) {
+                Ok(()) => {}
+                Err(runtime::channel::TrySendError::Full(item)) => {
+                    self.metrics.on_rejected();
+                    return Err(SubmitError::Busy {
+                        retry_after,
+                        upload: item.upload,
+                    });
                 }
-                tx.len()
-            }
-        };
+                Err(runtime::channel::TrySendError::Closed(item)) => {
+                    return Err(SubmitError::Closed {
+                        upload: item.upload,
+                    });
+                }
+            },
+        }
         // One depth probe on the lane just written: the submit path stays
         // O(1) in the lane count instead of summing every lane's queue.
-        self.metrics.on_accepted(lane, lane_depth);
+        self.metrics.on_accepted(lane, tx.len());
         if let Some(trace) = &trace {
             trace.record(Stage::Admission, lane as u32, admitted, Instant::now());
         }
@@ -1393,22 +1257,14 @@ impl Gateway {
         self.resume();
         let Gateway {
             route,
-            engine,
+            mut engine,
             metrics,
             drained,
             ..
         } = self;
-        match engine {
-            Engine::Threads(ThreadEngine { lanes, workers, .. }) => {
-                drop(lanes);
-                for handle in workers {
-                    let _ = handle.join();
-                }
-            }
-            // Quiesce before the snapshot below so queued work is counted;
-            // the subsequent `Drop` is an idempotent no-op.
-            Engine::Async(mut engine) => engine.quiesce(),
-        }
+        // Quiesce before the snapshot below so queued work is counted;
+        // the subsequent `Drop` is an idempotent no-op.
+        engine.quiesce();
         // A durable service's unsynced tail goes to disk before the final
         // numbers are reported — shutdown is a graceful exit, not a crash.
         let service = route.serving_ref();
@@ -1419,17 +1275,11 @@ impl Gateway {
     }
 
     fn worker_count(&self) -> usize {
-        match &self.engine {
-            Engine::Threads(engine) => engine.workers.len(),
-            Engine::Async(engine) => engine.tasks.len(),
-        }
+        self.engine.tasks.len()
     }
 
     fn queue_len(&self) -> usize {
-        match &self.engine {
-            Engine::Threads(engine) => engine.lanes.iter().map(|t| t.len()).sum(),
-            Engine::Async(engine) => engine.lanes.iter().map(|t| t.len()).sum(),
-        }
+        self.engine.lanes.iter().map(|t| t.len()).sum()
     }
 }
 
@@ -1465,20 +1315,17 @@ fn lane_count_for(shards: usize, workers: usize) -> usize {
 
 impl fmt::Debug for Gateway {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = f.debug_struct("Gateway");
-        s.field("runtime", &self.runtime_kind)
+        f.debug_struct("Gateway")
             .field("workers", &self.worker_count())
             .field("lanes", &self.lane_count())
             .field("queue_len", &self.queue_len())
-            .field("shed_policy", &self.shed_policy);
-        if let Engine::Async(engine) = &self.engine {
-            s.field("executor_threads", &engine.executor.threads());
-        }
-        s.finish()
+            .field("shed_policy", &self.shed_policy)
+            .field("executor_threads", &self.engine.executor.threads())
+            .finish()
     }
 }
 
-/// Decode → serve → reply for one work item; shared by both engines.
+/// Decode → serve → reply for one work item.
 ///
 /// When the item carries a trace, the worker records its queue span
 /// (enqueue → dequeue) and service span, and installs the trace as the
@@ -1540,23 +1387,6 @@ fn handle_item(
     let _ = item.reply.send(response);
 }
 
-fn worker_loop(
-    rx: Receiver<WorkItem>,
-    route: ServiceRoute,
-    metrics: Arc<GatewayMetrics>,
-    tracing: Option<Arc<GatewayTracing>>,
-    paused: Arc<AtomicBool>,
-) {
-    while let Ok(item) = rx.recv() {
-        // An engaged pause holds the item right here — dequeued but not
-        // started — until an operator resumes (or drain/shutdown does).
-        while paused.load(Ordering::SeqCst) {
-            thread::sleep(Duration::from_millis(1));
-        }
-        handle_item(item, &route, &metrics, tracing.as_deref());
-    }
-}
-
 /// One worker task: pull, serve, cooperatively yield so sibling workers
 /// sharing the executor thread get a turn between requests.
 async fn worker_task(
@@ -1595,145 +1425,186 @@ mod tests {
         wire::encode_upload_wire(session, WireFormat::Binary, &body)
     }
 
-    fn engines() -> [RuntimeKind; 2] {
-        [RuntimeKind::Threads, RuntimeKind::Async]
-    }
-
-    #[test]
-    fn default_engine_is_async() {
-        let gw = Gateway::new(CloudService::new(), GatewayConfig::clinic_default());
-        assert_eq!(gw.runtime_kind(), RuntimeKind::Async);
-        gw.shutdown();
-    }
-
-    #[test]
-    fn runtime_kind_parses_and_displays() {
-        assert_eq!("threads".parse::<RuntimeKind>(), Ok(RuntimeKind::Threads));
-        assert_eq!("async".parse::<RuntimeKind>(), Ok(RuntimeKind::Async));
-        assert!("green-threads".parse::<RuntimeKind>().is_err());
-        assert_eq!(RuntimeKind::Async.to_string(), "async");
-        assert_eq!(RuntimeKind::Threads.to_string(), "threads");
-    }
-
     #[test]
     fn serves_a_ping_through_the_pool() {
-        for kind in engines() {
-            let gw = Gateway::with_runtime(
-                CloudService::new(),
-                GatewayConfig {
-                    queue_capacity: 4,
-                    workers: 2,
-                    shed_policy: ShedPolicy::Block,
-                },
-                kind,
-            );
-            let reply = gw.submit(ping_upload(1)).expect("accepted");
-            assert_eq!(reply.wait().expect("reply"), Response::Pong);
-            let m = gw.shutdown();
-            assert_eq!(m.accepted, 1, "{kind}");
-            assert_eq!(m.completed, 1, "{kind}");
-            assert_eq!(m.lost(), 0, "{kind}");
-        }
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 4,
+                workers: 2,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        let reply = gw.submit(ping_upload(1)).expect("accepted");
+        assert_eq!(reply.wait().expect("reply"), Response::Pong);
+        let m = gw.shutdown();
+        assert_eq!(m.accepted, 1);
+        assert_eq!(m.completed, 1);
+        assert_eq!(m.lost(), 0);
     }
 
     #[test]
     fn serves_a_binary_ping_through_the_pool() {
-        for kind in engines() {
-            let gw = Gateway::with_runtime(
-                CloudService::new(),
-                GatewayConfig {
-                    queue_capacity: 4,
-                    workers: 2,
-                    shed_policy: ShedPolicy::Block,
-                },
-                kind,
-            );
-            let reply = gw.submit(ping_upload_binary(1)).expect("accepted");
-            assert_eq!(reply.format(), WireFormat::Binary);
-            assert_eq!(reply.wait().expect("reply"), Response::Pong);
-            let m = gw.shutdown();
-            assert_eq!(m.completed, 1, "{kind}");
-        }
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 4,
+                workers: 2,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        let reply = gw.submit(ping_upload_binary(1)).expect("accepted");
+        assert_eq!(reply.format(), WireFormat::Binary);
+        assert_eq!(reply.wait().expect("reply"), Response::Pong);
+        let m = gw.shutdown();
+        assert_eq!(m.completed, 1);
     }
 
     #[test]
     fn rejects_with_retry_after_when_full() {
         // Zero workers: the queue never drains, so the overflow path is
         // deterministic.
-        for kind in engines() {
-            let gw = Gateway::with_runtime(
-                CloudService::new(),
-                GatewayConfig {
-                    queue_capacity: 2,
-                    workers: 0,
-                    shed_policy: ShedPolicy::Reject {
-                        retry_after: Seconds::from_millis(25.0),
-                    },
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 2,
+                workers: 0,
+                shed_policy: ShedPolicy::Reject {
+                    retry_after: Seconds::from_millis(25.0),
                 },
-                kind,
-            );
-            let _a = gw.submit(ping_upload(1)).expect("fits");
-            let _b = gw.submit(ping_upload(2)).expect("fits");
-            match gw.submit(ping_upload(3)) {
-                Err(SubmitError::Busy {
-                    retry_after,
-                    upload,
-                }) => {
-                    assert!((retry_after.value() - 0.025).abs() < 1e-12);
-                    assert!(!upload.is_empty());
-                }
-                other => panic!("expected Busy, got {other:?}"),
+            },
+        );
+        let _a = gw.submit(ping_upload(1)).expect("fits");
+        let _b = gw.submit(ping_upload(2)).expect("fits");
+        match gw.submit(ping_upload(3)) {
+            Err(SubmitError::Busy {
+                retry_after,
+                upload,
+            }) => {
+                assert!((retry_after.value() - 0.025).abs() < 1e-12);
+                assert!(!upload.is_empty());
             }
-            let m = gw.metrics();
-            assert_eq!(m.accepted, 2, "{kind}");
-            assert_eq!(m.rejected, 1, "{kind}");
-            assert_eq!(m.queue_high_water, 2, "{kind}");
+            other => panic!("expected Busy, got {other:?}"),
         }
+        let m = gw.metrics();
+        assert_eq!(m.accepted, 2);
+        assert_eq!(m.rejected, 1);
+        assert_eq!(m.queue_high_water, 2);
     }
 
     #[test]
     fn malformed_uploads_yield_error_responses_not_crashes() {
-        for kind in engines() {
-            let gw = Gateway::with_runtime(
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 4,
+                workers: 1,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        let reply = gw.submit(vec![0xFF, 0x00, 0x01]).expect("accepted");
+        match reply.wait().expect("reply decodes") {
+            Response::Error { reason } => assert!(reason.contains("malformed upload")),
+            other => panic!("unexpected {other:?}"),
+        }
+        gw.shutdown();
+    }
+
+    /// Runs `f` on a thread of its own and waits at most `limit` for it.
+    /// The thread is left detached on timeout: a wedged gateway then
+    /// fails the test instead of hanging it.
+    fn within<T: Send + 'static>(
+        limit: Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> Option<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(limit).ok()
+    }
+
+    /// An all-zero trace, which is what a disconnected electrode sends,
+    /// fits a zero baseline, so every detrended residual is NaN. It must
+    /// get the same refusal in both formats, and the lane's only worker
+    /// must live to serve the next request.
+    #[test]
+    fn an_all_zero_trace_gets_a_reply_and_the_lane_keeps_serving() {
+        use medsen_impedance::{Channel, SignalTrace};
+        use medsen_units::Hertz;
+
+        const LIMIT: Duration = Duration::from_secs(10);
+        let mut electrode = Channel::new(Hertz::from_khz(500.0));
+        electrode.samples = vec![0.0; 900];
+        let zeros = Request::Analyze {
+            trace: SignalTrace::new(Hertz::new(450.0), vec![electrode]),
+            authenticate: false,
+        };
+        for format in [WireFormat::Json, WireFormat::Binary] {
+            let upload = |session: u64, request: &Request| {
+                let body = medsen_cloud::wire::encode_request(format, request).expect("encodes");
+                wire::encode_upload_wire(session, format, &body)
+            };
+            let gw = Gateway::new(
                 CloudService::new(),
                 GatewayConfig {
                     queue_capacity: 4,
                     workers: 1,
                     shed_policy: ShedPolicy::Block,
                 },
-                kind,
             );
-            let reply = gw.submit(vec![0xFF, 0x00, 0x01]).expect("accepted");
-            match reply.wait().expect("reply decodes") {
-                Response::Error { reason } => assert!(reason.contains("malformed upload")),
-                other => panic!("unexpected {other:?}"),
+            let analyzed = gw.submit(upload(1, &zeros)).expect("accepted");
+            let analyzed = within(LIMIT, move || analyzed.wait());
+            let ping = gw.submit(upload(2, &Request::Ping)).expect("accepted");
+            let pong = within(LIMIT, move || ping.wait());
+            let stopped = within(LIMIT, move || gw.shutdown()).is_some();
+            match analyzed {
+                Some(Ok(Response::Error { reason })) => {
+                    assert!(reason.contains("not finite"), "{format}: {reason}")
+                }
+                other => panic!("{format}: {other:?}"),
             }
-            gw.shutdown();
+            assert_eq!(pong, Some(Ok(Response::Pong)), "{format}");
+            assert!(stopped, "{format}: shutdown hung");
         }
     }
 
     #[test]
     fn shutdown_resolves_queued_work_then_closes() {
-        for kind in engines() {
-            let gw = Gateway::with_runtime(
-                CloudService::new(),
-                GatewayConfig {
-                    queue_capacity: 8,
-                    workers: 1,
-                    shed_policy: ShedPolicy::Block,
-                },
-                kind,
-            );
-            let replies: Vec<PendingReply> = (0..5)
-                .map(|i| gw.submit(ping_upload(i)).expect("accepted"))
-                .collect();
-            let m = gw.shutdown();
-            for reply in replies {
-                assert_eq!(reply.wait().expect("served before close"), Response::Pong);
-            }
-            assert_eq!(m.completed, 5, "{kind}");
-            assert_eq!(m.lost(), 0, "{kind}");
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 8,
+                workers: 1,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        let replies: Vec<PendingReply> = (0..5)
+            .map(|i| gw.submit(ping_upload(i)).expect("accepted"))
+            .collect();
+        let m = gw.shutdown();
+        for reply in replies {
+            assert_eq!(reply.wait().expect("served before close"), Response::Pong);
         }
+        assert_eq!(m.completed, 5);
+        assert_eq!(m.lost(), 0);
+    }
+
+    #[test]
+    fn a_request_dropped_unserved_reports_lost() {
+        // Zero workers: the request sits in its lane until the gateway
+        // is dropped, and its reply sender goes down with it.
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 4,
+                workers: 0,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        let reply = gw.submit(ping_upload(1)).expect("accepted");
+        drop(gw);
+        assert_eq!(reply.wait(), Err(ReplyError::Lost));
     }
 
     /// A paced shed wait must cost ~wait ÷ [`TIME_COMPRESSION`] of real
@@ -1774,54 +1645,47 @@ mod tests {
 
     #[test]
     fn gateway_forms_one_lane_per_shard_up_to_workers() {
-        for kind in engines() {
-            let gw = Gateway::with_runtime(
-                CloudService::with_shards(8),
-                GatewayConfig {
-                    queue_capacity: 16,
-                    workers: 4,
-                    shed_policy: ShedPolicy::Block,
-                },
-                kind,
-            );
-            assert_eq!(gw.lane_count(), 4, "{kind}");
-            gw.shutdown();
-        }
+        let gw = Gateway::new(
+            CloudService::with_shards(8),
+            GatewayConfig {
+                queue_capacity: 16,
+                workers: 4,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        assert_eq!(gw.lane_count(), 4);
+        gw.shutdown();
     }
 
     #[test]
     fn keyed_submissions_land_on_their_lane() {
-        for kind in engines() {
-            // Zero workers so the queued items stay put and the per-lane
-            // depth is observable deterministically.
-            let gw = Gateway::with_runtime(
-                CloudService::with_shards(4),
-                GatewayConfig {
-                    queue_capacity: 16,
-                    workers: 0,
-                    shed_policy: ShedPolicy::Block,
-                },
-                kind,
-            );
-            // workers = 0 clamps to a single lane; every key maps to it.
-            assert_eq!(gw.lane_count(), 1, "{kind}");
-            let _a = gw.submit_keyed(ping_upload(1), 7).expect("accepted");
-            let m = gw.metrics();
-            assert_eq!(m.shard_routed, vec![1], "{kind}");
-            drop(gw);
-        }
+        // Zero workers so the queued items stay put and the per-lane
+        // depth is observable deterministically.
+        let gw = Gateway::new(
+            CloudService::with_shards(4),
+            GatewayConfig {
+                queue_capacity: 16,
+                workers: 0,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        // workers = 0 clamps to a single lane; every key maps to it.
+        assert_eq!(gw.lane_count(), 1);
+        let _a = gw.submit_keyed(ping_upload(1), 7).expect("accepted");
+        let m = gw.metrics();
+        assert_eq!(m.shard_routed, vec![1]);
+        drop(gw);
     }
 
     #[test]
     fn per_lane_routing_counters_split_by_key() {
-        let gw = Gateway::with_runtime(
+        let gw = Gateway::new(
             CloudService::with_shards(4),
             GatewayConfig {
                 queue_capacity: 16,
                 workers: 4,
                 shed_policy: ShedPolicy::Block,
             },
-            RuntimeKind::Async,
         );
         assert_eq!(gw.lane_count(), 4);
         let mut replies = Vec::new();
@@ -1842,14 +1706,13 @@ mod tests {
 
     #[test]
     fn unkeyed_submit_routes_by_peeked_session_id() {
-        let gw = Gateway::with_runtime(
+        let gw = Gateway::new(
             CloudService::with_shards(2),
             GatewayConfig {
                 queue_capacity: 8,
                 workers: 0, // freeze the queues
                 shed_policy: ShedPolicy::Block,
             },
-            RuntimeKind::Threads,
         );
         // workers = 0 → one lane regardless; this test just proves the
         // peek path accepts both well-formed and malformed uploads.
@@ -1863,37 +1726,34 @@ mod tests {
 
     #[test]
     fn drain_serves_queued_work_then_refuses_new_sessions() {
-        for kind in engines() {
-            let gw = Gateway::with_runtime(
-                CloudService::new(),
-                GatewayConfig {
-                    queue_capacity: 8,
-                    workers: 2,
-                    shed_policy: ShedPolicy::Block,
-                },
-                kind,
-            );
-            let replies: Vec<PendingReply> = (0..4)
-                .map(|i| gw.submit(ping_upload(i)).expect("accepted"))
-                .collect();
-            gw.drain();
-            assert!(gw.is_drained(), "{kind}");
-            match gw.submit(ping_upload(99)) {
-                Err(SubmitError::Closed { upload }) => assert!(!upload.is_empty()),
-                other => panic!("expected Closed after drain, got {other:?}"),
-            }
-            // Everything admitted before the drain was still served.
-            for reply in replies {
-                assert_eq!(reply.wait().expect("served"), Response::Pong, "{kind}");
-            }
-            let m = gw.metrics();
-            assert!(m.drained, "{kind}");
-            assert_eq!(m.accepted, 4, "{kind}");
-            assert_eq!(m.completed, 4, "{kind}");
-            let m = gw.shutdown();
-            assert!(m.drained, "flag survives shutdown: {kind}");
-            assert_eq!(m.rejected, 1, "{kind}");
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 8,
+                workers: 2,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        let replies: Vec<PendingReply> = (0..4)
+            .map(|i| gw.submit(ping_upload(i)).expect("accepted"))
+            .collect();
+        gw.drain();
+        assert!(gw.is_drained());
+        match gw.submit(ping_upload(99)) {
+            Err(SubmitError::Closed { upload }) => assert!(!upload.is_empty()),
+            other => panic!("expected Closed after drain, got {other:?}"),
         }
+        // Everything admitted before the drain was still served.
+        for reply in replies {
+            assert_eq!(reply.wait().expect("served"), Response::Pong);
+        }
+        let m = gw.metrics();
+        assert!(m.drained);
+        assert_eq!(m.accepted, 4);
+        assert_eq!(m.completed, 4);
+        let m = gw.shutdown();
+        assert!(m.drained, "flag survives shutdown");
+        assert_eq!(m.rejected, 1);
     }
 
     #[test]
@@ -1911,14 +1771,13 @@ mod tests {
         // explicit flush can account for the fsync observed below.
         let service =
             CloudService::with_storage(&dir, 2, FlushPolicy::EveryN(1_000)).expect("opens");
-        let gw = Gateway::with_runtime(
+        let gw = Gateway::new(
             service,
             GatewayConfig {
                 queue_capacity: 8,
                 workers: 2,
                 shed_policy: ShedPolicy::Block,
             },
-            RuntimeKind::Threads,
         );
         let json = medsen_phone::to_json(&Request::Enroll {
             identifier: "alice".into(),
@@ -1941,48 +1800,46 @@ mod tests {
 
     #[test]
     fn spans_chain_admission_queue_service_for_each_request() {
-        for kind in engines() {
-            let gw = Gateway::with_telemetry(
-                CloudService::new(),
-                GatewayConfig {
-                    queue_capacity: 8,
-                    workers: 2,
-                    shed_policy: ShedPolicy::Block,
-                },
-                kind,
-                TelemetryConfig::default(),
-            );
-            let replies: Vec<PendingReply> = (0..4)
-                .map(|i| gw.submit(ping_upload(i)).expect("accepted"))
-                .collect();
-            for reply in replies {
-                assert_eq!(reply.wait().expect("reply"), Response::Pong);
-            }
-            let recorder = gw.span_recorder().expect("spans on");
-            let spans = recorder.snapshot();
-            let mut traces: Vec<TraceId> = spans.iter().map(|s| s.trace).collect();
-            traces.sort_unstable();
-            traces.dedup();
-            assert_eq!(traces.len(), 4, "one trace per request: {kind}");
-            for trace in traces {
-                let chain = recorder.spans_for(trace);
-                let stages: Vec<Stage> = chain.iter().map(|s| s.stage).collect();
-                for want in [Stage::Admission, Stage::Queue, Stage::Service] {
-                    assert!(stages.contains(&want), "missing {want:?}: {kind}");
-                }
-                // Pipeline order: each stage starts no earlier than the
-                // previous one (admission start ≤ queue start ≤ service).
-                let mut ordered = chain.clone();
-                ordered.sort_by_key(|s| s.stage);
-                for pair in ordered.windows(2) {
-                    assert!(
-                        pair[0].start_ns <= pair[1].start_ns,
-                        "stage starts regress: {pair:?} ({kind})"
-                    );
-                }
-            }
-            gw.shutdown();
+        let gw = Gateway::with_telemetry(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 8,
+                workers: 2,
+                shed_policy: ShedPolicy::Block,
+            },
+            RuntimeKind::Async,
+            TelemetryConfig::default(),
+        );
+        let replies: Vec<PendingReply> = (0..4)
+            .map(|i| gw.submit(ping_upload(i)).expect("accepted"))
+            .collect();
+        for reply in replies {
+            assert_eq!(reply.wait().expect("reply"), Response::Pong);
         }
+        let recorder = gw.span_recorder().expect("spans on");
+        let spans = recorder.snapshot();
+        let mut traces: Vec<TraceId> = spans.iter().map(|s| s.trace).collect();
+        traces.sort_unstable();
+        traces.dedup();
+        assert_eq!(traces.len(), 4, "one trace per request");
+        for trace in traces {
+            let chain = recorder.spans_for(trace);
+            let stages: Vec<Stage> = chain.iter().map(|s| s.stage).collect();
+            for want in [Stage::Admission, Stage::Queue, Stage::Service] {
+                assert!(stages.contains(&want), "missing {want:?}");
+            }
+            // Pipeline order: each stage starts no earlier than the
+            // previous one (admission start ≤ queue start ≤ service).
+            let mut ordered = chain.clone();
+            ordered.sort_by_key(|s| s.stage);
+            for pair in ordered.windows(2) {
+                assert!(
+                    pair[0].start_ns <= pair[1].start_ns,
+                    "stage starts regress: {pair:?}"
+                );
+            }
+        }
+        gw.shutdown();
     }
 
     #[test]
@@ -1994,7 +1851,7 @@ mod tests {
                 workers: 1,
                 shed_policy: ShedPolicy::Block,
             },
-            RuntimeKind::Threads,
+            RuntimeKind::Async,
             TelemetryConfig {
                 exemplars: 2,
                 ..TelemetryConfig::default()
@@ -2074,48 +1931,44 @@ mod tests {
 
     #[test]
     fn pause_holds_admitted_work_without_rejecting_new_sessions() {
-        for kind in engines() {
-            let gw = Gateway::with_runtime(
-                CloudService::new(),
-                GatewayConfig {
-                    queue_capacity: 8,
-                    workers: 2,
-                    shed_policy: ShedPolicy::Block,
-                },
-                kind,
-            );
-            gw.pause();
-            assert!(gw.is_paused(), "{kind}");
-            // New sessions are still admitted — pause is not drain.
-            let replies: Vec<PendingReply> = (0..4)
-                .map(|i| gw.submit(ping_upload(i)).expect("admitted while paused"))
-                .collect();
-            // Give the pool a moment: nothing may complete while paused.
-            thread::sleep(Duration::from_millis(20));
-            let m = gw.metrics();
-            assert_eq!(m.accepted, 4, "{kind}");
-            assert_eq!(m.completed, 0, "paused workers must hold work: {kind}");
-            assert!(!m.drained, "{kind}");
-            gw.resume();
-            assert!(!gw.is_paused(), "{kind}");
-            for reply in replies {
-                assert_eq!(reply.wait().expect("served after resume"), Response::Pong);
-            }
-            assert_eq!(gw.metrics().completed, 4, "{kind}");
-            gw.shutdown();
-        }
-    }
-
-    #[test]
-    fn drain_implies_resume_so_held_work_still_finishes() {
-        let gw = Gateway::with_runtime(
+        let gw = Gateway::new(
             CloudService::new(),
             GatewayConfig {
                 queue_capacity: 8,
                 workers: 2,
                 shed_policy: ShedPolicy::Block,
             },
-            RuntimeKind::Threads,
+        );
+        gw.pause();
+        assert!(gw.is_paused());
+        // New sessions are still admitted — pause is not drain.
+        let replies: Vec<PendingReply> = (0..4)
+            .map(|i| gw.submit(ping_upload(i)).expect("admitted while paused"))
+            .collect();
+        // Give the pool a moment: nothing may complete while paused.
+        thread::sleep(Duration::from_millis(20));
+        let m = gw.metrics();
+        assert_eq!(m.accepted, 4);
+        assert_eq!(m.completed, 0, "paused workers must hold work");
+        assert!(!m.drained);
+        gw.resume();
+        assert!(!gw.is_paused());
+        for reply in replies {
+            assert_eq!(reply.wait().expect("served after resume"), Response::Pong);
+        }
+        assert_eq!(gw.metrics().completed, 4);
+        gw.shutdown();
+    }
+
+    #[test]
+    fn drain_implies_resume_so_held_work_still_finishes() {
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 8,
+                workers: 2,
+                shed_policy: ShedPolicy::Block,
+            },
         );
         gw.pause();
         let reply = gw.submit(ping_upload(1)).expect("admitted");
@@ -2167,7 +2020,7 @@ mod tests {
                 workers: 2,
                 shed_policy: ShedPolicy::Block,
             },
-            RuntimeKind::Threads,
+            RuntimeKind::Async,
             TelemetryConfig::default(),
         );
         let json = medsen_phone::to_json(&Request::Enroll {
@@ -2226,14 +2079,13 @@ mod tests {
     /// threads without losing work.
     #[test]
     fn async_engine_runs_more_tasks_than_threads() {
-        let gw = Gateway::with_runtime(
+        let gw = Gateway::new(
             CloudService::new(),
             GatewayConfig {
                 queue_capacity: 64,
                 workers: 32, // tasks — far more than MAX_EXECUTOR_THREADS
                 shed_policy: ShedPolicy::Block,
             },
-            RuntimeKind::Async,
         );
         let replies: Vec<PendingReply> = (0..64)
             .map(|i| gw.submit(ping_upload(i)).expect("accepted"))
@@ -2250,106 +2102,100 @@ mod tests {
     /// same gateway is untouched — the satellite fairness guarantee.
     #[test]
     fn rate_limit_stops_one_session_without_starving_another() {
-        for kind in engines() {
-            let gw = Gateway::with_runtime(
-                CloudService::new(),
-                GatewayConfig {
-                    queue_capacity: 64,
-                    workers: 2,
-                    shed_policy: ShedPolicy::Block,
-                },
-                kind,
-            );
-            gw.set_rate_limit(RateLimitConfig::per_session(3.0, 0.0));
-            // Session 1 burns its burst, then gets refused.
-            let mut refused = 0;
-            let mut replies = Vec::new();
-            for _ in 0..5 {
-                match gw.submit(ping_upload(1)) {
-                    Ok(r) => replies.push(r),
-                    Err(SubmitError::RateLimited { retry_after, .. }) => {
-                        refused += 1;
-                        assert!(retry_after.value() > 0.0);
-                    }
-                    other => panic!("unexpected {other:?}"),
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 64,
+                workers: 2,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        gw.set_rate_limit(RateLimitConfig::per_session(3.0, 0.0));
+        // Session 1 burns its burst, then gets refused.
+        let mut refused = 0;
+        let mut replies = Vec::new();
+        for _ in 0..5 {
+            match gw.submit(ping_upload(1)) {
+                Ok(r) => replies.push(r),
+                Err(SubmitError::RateLimited { retry_after, .. }) => {
+                    refused += 1;
+                    assert!(retry_after.value() > 0.0);
                 }
+                other => panic!("unexpected {other:?}"),
             }
-            assert_eq!(refused, 2, "{kind}: burst of 3 admits exactly 3 of 5");
-            // Session 2 submits the same count and is never refused.
-            for _ in 0..3 {
-                replies.push(gw.submit(ping_upload(2)).expect("session 2 unaffected"));
-            }
-            for r in replies {
-                assert_eq!(r.wait().expect("reply"), Response::Pong);
-            }
-            let m = gw.metrics();
-            assert_eq!(m.rate_limited, 2, "{kind}");
-            assert_eq!(m.accepted, 6, "{kind}");
-            assert!(gw
-                .telemetry_text()
-                .contains(&format!("gateway.rate_limited {refused}")));
-            gw.shutdown();
         }
+        assert_eq!(refused, 2, "burst of 3 admits exactly 3 of 5");
+        // Session 2 submits the same count and is never refused.
+        for _ in 0..3 {
+            replies.push(gw.submit(ping_upload(2)).expect("session 2 unaffected"));
+        }
+        for r in replies {
+            assert_eq!(r.wait().expect("reply"), Response::Pong);
+        }
+        let m = gw.metrics();
+        assert_eq!(m.rate_limited, 2);
+        assert_eq!(m.accepted, 6);
+        assert!(gw
+            .telemetry_text()
+            .contains(&format!("gateway.rate_limited {refused}")));
+        gw.shutdown();
     }
 
     /// Fountain symbols pushed one at a time reassemble the request and
-    /// dispatch it through the normal pipeline on both engines.
+    /// dispatch it through the normal pipeline.
     #[test]
     fn fountain_symbols_reassemble_and_dispatch() {
         use medsen_phone::OneWayUploader;
-        for kind in engines() {
-            let gw = Gateway::with_runtime(
-                CloudService::new(),
-                GatewayConfig {
-                    queue_capacity: 8,
-                    workers: 2,
-                    shed_policy: ShedPolicy::Block,
-                },
-                kind,
-            );
-            let session = 41;
-            let upload = OneWayUploader::default()
-                .encode(session, &ping_upload(session))
-                .expect("encodes");
-            let mut reply = None;
-            // Feed every third symbol — any sufficient subset decodes.
-            for wire in upload.frames.iter().step_by(3) {
-                match gw.ingest_symbol(wire).expect("symbol accepted") {
-                    SymbolIngest::Complete {
-                        session_id,
-                        reply: r,
-                        stats,
-                    } => {
-                        assert_eq!(session_id, session);
-                        assert!(stats.overhead_ratio() >= 1.0);
-                        reply = Some(r);
-                        break;
-                    }
-                    SymbolIngest::Progress { session_id, .. }
-                    | SymbolIngest::Redundant { session_id } => assert_eq!(session_id, session),
-                    other => panic!("unexpected {other:?}"),
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 8,
+                workers: 2,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        let session = 41;
+        let upload = OneWayUploader::default()
+            .encode(session, &ping_upload(session))
+            .expect("encodes");
+        let mut reply = None;
+        // Feed every third symbol — any sufficient subset decodes.
+        for wire in upload.frames.iter().step_by(3) {
+            match gw.ingest_symbol(wire).expect("symbol accepted") {
+                SymbolIngest::Complete {
+                    session_id,
+                    reply: r,
+                    stats,
+                } => {
+                    assert_eq!(session_id, session);
+                    assert!(stats.overhead_ratio() >= 1.0);
+                    reply = Some(r);
+                    break;
                 }
+                SymbolIngest::Progress { session_id, .. }
+                | SymbolIngest::Redundant { session_id } => assert_eq!(session_id, session),
+                other => panic!("unexpected {other:?}"),
             }
-            let reply = reply.expect("stream completed within budget");
-            assert_eq!(reply.wait().expect("reply"), Response::Pong);
-            let text = gw.telemetry_text();
-            for name in [
-                "fountain.symbols_received",
-                "fountain.sessions_completed 1",
-                "fountain.overhead_permille 1",
-            ] {
-                assert!(text.contains(name), "{kind}: missing {name} in:\n{text}");
-            }
-            // The decode span joins the request's spans in the ring.
-            let spans = gw.spans_json();
-            assert!(
-                spans.contains("fountain_decode"),
-                "{kind}: no decode span in:\n{spans}"
-            );
-            let m = gw.shutdown();
-            assert_eq!(m.accepted, 1, "{kind}");
-            assert_eq!(m.completed, 1, "{kind}");
         }
+        let reply = reply.expect("stream completed within budget");
+        assert_eq!(reply.wait().expect("reply"), Response::Pong);
+        let text = gw.telemetry_text();
+        for name in [
+            "fountain.symbols_received",
+            "fountain.sessions_completed 1",
+            "fountain.overhead_permille 1",
+        ] {
+            assert!(text.contains(name), "missing {name} in:\n{text}");
+        }
+        // The decode span joins the request's spans in the ring.
+        let spans = gw.spans_json();
+        assert!(
+            spans.contains("fountain_decode"),
+            "no decode span in:\n{spans}"
+        );
+        let m = gw.shutdown();
+        assert_eq!(m.accepted, 1);
+        assert_eq!(m.completed, 1);
     }
 
     /// Stragglers after completion are redundant, never a second dispatch.

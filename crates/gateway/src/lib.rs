@@ -14,10 +14,9 @@
 //!   [`WireFormat`](medsen_wire::WireFormat) the upload's header names
 //!   (compact binary by default, JSON for debugging). When the queue fills,
 //!   an explicit [`ShedPolicy`] either blocks the submitter or rejects
-//!   with a retry-after hint. Two engines implement the pool, selected by
-//!   [`RuntimeKind`]: worker *tasks* on the `medsen-runtime` async
-//!   executor (the default — idle sessions cost a task, not a thread), or
-//!   the original OS-thread-per-worker baseline. The queue is split into
+//!   with a retry-after hint. The workers are *tasks* on the
+//!   `medsen-runtime` async executor, so idle sessions cost a task, not a
+//!   thread. The queue is split into
 //!   per-shard *lanes* (`shards.min(workers).max(1)`, sharing the total
 //!   `queue_capacity`): enrollments route by
 //!   [`identity_hash`](medsen_cloud::identity_hash) of the identifier so

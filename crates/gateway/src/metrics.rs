@@ -9,8 +9,6 @@
 //! unified [`Registry`] under stable dotted names (`gateway.accepted`,
 //! `gateway.lane.0.routed`, `gateway.queue_wait`, …), so one text
 //! exposition covers every counter this module tracks.
-//! [`GatewayMetrics::with_lanes`] still builds free-standing instruments
-//! for callers that want counters without a registry.
 
 use medsen_telemetry::{Counter, Gauge, Registry};
 use std::sync::Arc;
@@ -25,13 +23,6 @@ struct LaneMetrics {
 }
 
 impl LaneMetrics {
-    fn standalone() -> Self {
-        Self {
-            routed: Arc::new(Counter::new()),
-            high_water: Arc::new(Gauge::new()),
-        }
-    }
-
     fn registered(lane: usize, registry: &Registry) -> Self {
         Self {
             routed: registry.counter(&format!("gateway.lane.{lane}.routed")),
@@ -59,38 +50,7 @@ pub struct GatewayMetrics {
     pub uplink_time: Arc<LatencyHistogram>,
 }
 
-impl Default for GatewayMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl GatewayMetrics {
-    /// Fresh all-zero metrics with a single lane.
-    pub fn new() -> Self {
-        Self::with_lanes(1)
-    }
-
-    /// Fresh all-zero metrics tracking `lanes` per-shard worker lanes,
-    /// with free-standing instruments (not visible in any registry).
-    pub fn with_lanes(lanes: usize) -> Self {
-        Self {
-            accepted: Arc::new(Counter::new()),
-            rejected: Arc::new(Counter::new()),
-            rate_limited: Arc::new(Counter::new()),
-            retried: Arc::new(Counter::new()),
-            completed: Arc::new(Counter::new()),
-            failed: Arc::new(Counter::new()),
-            queue_high_water: Arc::new(Gauge::new()),
-            lanes: (0..lanes.max(1))
-                .map(|_| LaneMetrics::standalone())
-                .collect(),
-            queue_wait: Arc::new(LatencyHistogram::new()),
-            service_time: Arc::new(LatencyHistogram::new()),
-            uplink_time: Arc::new(LatencyHistogram::new()),
-        }
-    }
-
     /// Fresh metrics whose instruments are registered in `registry` under
     /// the gateway's dotted names: `gateway.accepted`, `gateway.rejected`,
     /// `gateway.retried`, `gateway.completed`, `gateway.failed`,
@@ -339,7 +299,7 @@ mod tests {
 
     #[test]
     fn counters_and_high_water() {
-        let m = GatewayMetrics::new();
+        let m = GatewayMetrics::registered(1, &Registry::new());
         m.on_accepted(0, 3);
         m.on_accepted(0, 7);
         m.on_accepted(0, 5);
@@ -361,7 +321,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_round_trips_through_clone_and_eq() {
-        let m = GatewayMetrics::new();
+        let m = GatewayMetrics::registered(1, &Registry::new());
         m.on_accepted(0, 2);
         m.on_rejected();
         m.on_retried();
@@ -383,7 +343,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_sane() {
-        let s = GatewayMetrics::new().snapshot();
+        let s = GatewayMetrics::registered(1, &Registry::new()).snapshot();
         assert_eq!(s.lost(), 0);
         assert_eq!(s.queue_wait.mean_us(), 0.0);
         assert_eq!(s.queue_wait.percentile_us(0.99), 0);
@@ -396,7 +356,7 @@ mod tests {
 
     #[test]
     fn lane_counters_track_routing_and_depth() {
-        let m = GatewayMetrics::with_lanes(4);
+        let m = GatewayMetrics::registered(4, &Registry::new());
         assert_eq!(m.lane_count(), 4);
         m.on_accepted(0, 1);
         m.on_accepted(2, 3);
@@ -412,7 +372,7 @@ mod tests {
 
     #[test]
     fn zero_lanes_clamps_to_one() {
-        let m = GatewayMetrics::with_lanes(0);
+        let m = GatewayMetrics::registered(0, &Registry::new());
         assert_eq!(m.lane_count(), 1);
         m.on_accepted(0, 5);
         assert_eq!(m.snapshot().shard_depth, vec![5]);
@@ -458,7 +418,7 @@ mod tests {
     /// undrained gateway still says so.
     #[test]
     fn display_includes_every_field_unconditionally() {
-        let m = GatewayMetrics::new();
+        let m = GatewayMetrics::registered(1, &Registry::new());
         let empty = m.snapshot().to_string();
         for needle in [
             "accepted 0 | rejected 0 | rate-limited 0 | retried 0 | completed 0 | failed 0",

@@ -313,7 +313,7 @@ mod tests {
         if trace != 0 {
             header.extend_from_slice(&trace.to_be_bytes());
         }
-        let mut out = Frame::new(MessageType::StartTest, header).encode().to_vec();
+        let mut out = Frame::new(MessageType::StartTest, header).encode();
         for frame in chunk_data(body, CHUNK_SIZE) {
             out.extend_from_slice(&frame.encode());
         }
@@ -396,7 +396,7 @@ mod tests {
         header.extend_from_slice(&1u64.to_be_bytes());
         header.extend_from_slice(&0u32.to_be_bytes());
         header.push(0x7F);
-        let wire = Frame::new(MessageType::StartTest, header).encode().to_vec();
+        let wire = Frame::new(MessageType::StartTest, header).encode();
         assert_eq!(
             decode_upload(&wire),
             Err(UploadError::UnknownFormat { tag: 0x7F })
@@ -437,7 +437,7 @@ mod tests {
         header.extend_from_slice(&1u64.to_be_bytes());
         header.extend_from_slice(&(u32::MAX).to_be_bytes());
         header.push(WireFormat::Json.tag());
-        let wire = Frame::new(MessageType::StartTest, header).encode().to_vec();
+        let wire = Frame::new(MessageType::StartTest, header).encode();
         assert!(matches!(
             decode_upload(&wire),
             Err(UploadError::BodyTooLarge { .. })
@@ -448,16 +448,12 @@ mod tests {
     fn rejects_malformed_headers() {
         // StartTest with the legacy 12-byte payload: right type, wrong
         // size — a pre-format-tag peer fails typed, not garbled.
-        let wire = Frame::new(MessageType::StartTest, vec![0u8; 12])
-            .encode()
-            .to_vec();
+        let wire = Frame::new(MessageType::StartTest, vec![0u8; 12]).encode();
         assert_eq!(decode_upload(&wire), Err(UploadError::MalformedHeader));
         // Between the two legal sizes is malformed too: a truncated
         // trace id must not half-decode.
         for size in (HEADER_BYTES + 1)..TRACED_HEADER_BYTES {
-            let wire = Frame::new(MessageType::StartTest, vec![0u8; size])
-                .encode()
-                .to_vec();
+            let wire = Frame::new(MessageType::StartTest, vec![0u8; size]).encode();
             assert_eq!(
                 decode_upload(&wire),
                 Err(UploadError::MalformedHeader),
@@ -501,7 +497,7 @@ mod tests {
         header.extend_from_slice(&3u64.to_be_bytes());
         header.extend_from_slice(&5u32.to_be_bytes());
         header.push(WireFormat::Json.tag());
-        let mut wire = Frame::new(MessageType::StartTest, header).encode().to_vec();
+        let mut wire = Frame::new(MessageType::StartTest, header).encode();
         wire.extend_from_slice(&Frame::new(MessageType::DataChunk, b"abc-extra".to_vec()).encode());
         assert_eq!(
             decode_upload(&wire),
@@ -531,7 +527,7 @@ mod tests {
         header.extend_from_slice(&2u64.to_be_bytes());
         header.extend_from_slice(&2u32.to_be_bytes());
         header.push(WireFormat::Json.tag());
-        let mut wire = Frame::new(MessageType::StartTest, header).encode().to_vec();
+        let mut wire = Frame::new(MessageType::StartTest, header).encode();
         wire.extend_from_slice(&Frame::new(MessageType::DataChunk, vec![0xFF, 0xFE]).encode());
         assert_eq!(decode_upload(&wire), Err(UploadError::BodyNotUtf8));
 

@@ -73,11 +73,35 @@ impl Channel {
 }
 
 /// A complete multi-channel acquisition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SignalTrace {
     /// Output sampling rate (paper: 450 Hz).
     pub sample_rate: Hertz,
     channels: Vec<Channel>,
+}
+
+/// A trace as JSON spells it, before [`SignalTrace::validate`] has run.
+#[derive(Deserialize)]
+struct UncheckedTrace {
+    sample_rate: Hertz,
+    channels: Vec<Channel>,
+}
+
+impl<'de> Deserialize<'de> for SignalTrace {
+    fn deserialize<D>(deserializer: D) -> Result<Self, D::Error>
+    where
+        D: serde::Deserializer<'de>,
+    {
+        let UncheckedTrace {
+            sample_rate,
+            channels,
+        } = UncheckedTrace::deserialize(deserializer)?;
+        SignalTrace::validate(sample_rate, &channels).map_err(serde::de::Error::custom)?;
+        Ok(SignalTrace {
+            sample_rate,
+            channels,
+        })
+    }
 }
 
 impl SignalTrace {
@@ -101,6 +125,37 @@ impl SignalTrace {
         }
     }
 
+    /// What a trace decoded from either wire format must satisfy. Those
+    /// bytes cross a trust boundary, so a trace no sensor can produce is
+    /// refused here rather than handed to the analysis: channels of
+    /// unequal length (the constructor would panic), a sample rate that
+    /// is not finite and positive, or a carrier or sample that is not
+    /// finite. Binary and JSON both decode through this one check, so
+    /// they refuse exactly the same traces.
+    fn validate(sample_rate: Hertz, channels: &[Channel]) -> Result<(), &'static str> {
+        if !(sample_rate.value().is_finite() && sample_rate.value() > 0.0) {
+            return Err("trace sample rate is not finite and positive");
+        }
+        if let Some(first) = channels.first() {
+            if channels
+                .iter()
+                .any(|c| c.samples.len() != first.samples.len())
+            {
+                return Err("trace channels have unequal lengths");
+            }
+        }
+        if channels.iter().any(|c| !c.carrier.value().is_finite()) {
+            return Err("trace carrier is not finite");
+        }
+        if channels
+            .iter()
+            .any(|c| c.samples.iter().any(|x| !x.is_finite()))
+        {
+            return Err("trace sample is not finite");
+        }
+        Ok(())
+    }
+
     /// All channels.
     pub fn channels(&self) -> &[Channel] {
         &self.channels
@@ -116,8 +171,7 @@ impl SignalTrace {
             channels.min_by(|a, b| {
                 (a.carrier.value() - carrier.value())
                     .abs()
-                    .partial_cmp(&(b.carrier.value() - carrier.value()).abs())
-                    .expect("finite carrier frequencies")
+                    .total_cmp(&(b.carrier.value() - carrier.value()).abs())
             })
         }
         let in_phase = self
@@ -135,8 +189,7 @@ impl SignalTrace {
             .min_by(|a, b| {
                 (a.carrier.value() - carrier.value())
                     .abs()
-                    .partial_cmp(&(b.carrier.value() - carrier.value()).abs())
-                    .expect("finite carrier frequencies")
+                    .total_cmp(&(b.carrier.value() - carrier.value()).abs())
             })
     }
 
@@ -240,16 +293,7 @@ impl Wire for SignalTrace {
     fn wire_decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let sample_rate = Hertz::new(r.get_f64()?);
         let channels = Vec::<Channel>::wire_decode(r)?;
-        // `SignalTrace::new` panics on ragged channels; a decoder must
-        // reject them instead, because these bytes cross a trust boundary.
-        if let Some(first) = channels.first() {
-            if channels
-                .iter()
-                .any(|c| c.samples.len() != first.samples.len())
-            {
-                return Err(WireError::Invalid("trace channels have unequal lengths"));
-            }
-        }
+        SignalTrace::validate(sample_rate, &channels).map_err(WireError::Invalid)?;
         Ok(SignalTrace {
             sample_rate,
             channels,
@@ -303,6 +347,64 @@ mod tests {
             SignalTrace::wire_decode(&mut r),
             Err(WireError::Invalid("trace channels have unequal lengths"))
         );
+    }
+
+    /// Decodes a hand-encoded one-channel trace.
+    fn decode_raw(rate: f64, carrier: f64, samples: &[f64]) -> Result<SignalTrace, WireError> {
+        let mut w = Writer::new();
+        w.put_f64(rate);
+        w.put_u32(1);
+        w.put_f64(carrier);
+        w.put_u32(samples.len() as u32);
+        for &x in samples {
+            w.put_f64(x);
+        }
+        w.put_u8(0);
+        let bytes = w.into_bytes();
+        SignalTrace::wire_decode(&mut Reader::new(&bytes))
+    }
+
+    #[test]
+    fn wire_decode_rejects_non_finite_samples() {
+        assert!(decode_raw(450.0, 5e5, &[1.0, 0.0, -1.0]).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                decode_raw(450.0, 5e5, &[1.0, bad, 1.0]),
+                Err(WireError::Invalid("trace sample is not finite")),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn wire_decode_rejects_non_finite_carriers() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                decode_raw(450.0, bad, &[1.0]),
+                Err(WireError::Invalid("trace carrier is not finite")),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn wire_decode_rejects_non_physical_sample_rates() {
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -450.0,
+        ] {
+            assert_eq!(
+                decode_raw(bad, 5e5, &[1.0]),
+                Err(WireError::Invalid(
+                    "trace sample rate is not finite and positive"
+                )),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

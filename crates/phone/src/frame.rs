@@ -7,7 +7,6 @@
 //! corruption; the message-type byte carries the AOAP handshake plus the
 //! MedSen data channel.
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// Message types on the accessory link.
@@ -88,7 +87,7 @@ pub struct Frame {
     /// Message type.
     pub msg_type: MessageType,
     /// Opaque payload.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 /// Bytes a frame adds around its payload: the type byte, the `u32`
@@ -168,7 +167,7 @@ pub fn read_frame(bytes: &[u8]) -> Result<(MessageType, &[u8], usize), FrameErro
 
 impl Frame {
     /// Creates a frame.
-    pub fn new(msg_type: MessageType, payload: impl Into<Bytes>) -> Self {
+    pub fn new(msg_type: MessageType, payload: impl Into<Vec<u8>>) -> Self {
         Self {
             msg_type,
             payload: payload.into(),
@@ -177,10 +176,10 @@ impl Frame {
 
     /// Wire layout: `[type: u8][len: u32 BE][payload][checksum: u16 BE]`
     /// (see [`write_frame`]).
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(FRAME_OVERHEAD + self.payload.len());
         write_frame(self.msg_type, &self.payload, &mut out);
-        out.into()
+        out
     }
 
     /// Decodes a frame from the front of `bytes`, returning it plus the
@@ -192,7 +191,7 @@ impl Frame {
     /// Returns a [`FrameError`] on truncation, bad type, or checksum failure.
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), FrameError> {
         let (msg_type, payload, used) = read_frame(bytes)?;
-        Ok((Self::new(msg_type, Bytes::copy_from_slice(payload)), used))
+        Ok((Self::new(msg_type, payload), used))
     }
 }
 
@@ -205,7 +204,7 @@ impl Frame {
 pub fn chunk_data(data: &[u8], chunk_size: usize) -> Vec<Frame> {
     assert!(chunk_size > 0, "chunk size must be positive");
     data.chunks(chunk_size)
-        .map(|c| Frame::new(MessageType::DataChunk, Bytes::copy_from_slice(c)))
+        .map(|c| Frame::new(MessageType::DataChunk, c))
         .collect()
 }
 
@@ -259,7 +258,7 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip() {
-        let frame = Frame::new(MessageType::StartTest, Bytes::from_static(b"go"));
+        let frame = Frame::new(MessageType::StartTest, b"go");
         let wire = frame.encode();
         let (decoded, used) = Frame::decode(&wire).unwrap();
         assert_eq!(decoded, frame);
@@ -268,15 +267,15 @@ mod tests {
 
     #[test]
     fn empty_payload_round_trip() {
-        let frame = Frame::new(MessageType::GetProtocol, Bytes::new());
+        let frame = Frame::new(MessageType::GetProtocol, []);
         let (decoded, _) = Frame::decode(&frame.encode()).unwrap();
         assert_eq!(decoded.payload.len(), 0);
     }
 
     #[test]
     fn corruption_is_detected() {
-        let frame = Frame::new(MessageType::DataChunk, Bytes::from_static(b"abcdef"));
-        let mut wire = frame.encode().to_vec();
+        let frame = Frame::new(MessageType::DataChunk, b"abcdef");
+        let mut wire = frame.encode();
         wire[7] ^= 0x40; // flip a payload bit
         assert_eq!(
             Frame::decode(&wire).unwrap_err(),
@@ -290,7 +289,7 @@ mod tests {
             Frame::decode(&[0x10, 0, 0]).unwrap_err(),
             FrameError::Truncated
         );
-        let frame = Frame::new(MessageType::DataChunk, Bytes::from_static(b"abcdef"));
+        let frame = Frame::new(MessageType::DataChunk, b"abcdef");
         let wire = frame.encode();
         let err = Frame::decode(&wire[..wire.len() - 4]).unwrap_err();
         assert!(matches!(err, FrameError::LengthMismatch { .. }));
@@ -298,9 +297,7 @@ mod tests {
 
     #[test]
     fn unknown_type_is_rejected() {
-        let mut wire = Frame::new(MessageType::Progress, Bytes::new())
-            .encode()
-            .to_vec();
+        let mut wire = Frame::new(MessageType::Progress, []).encode();
         wire[0] = 0x7f;
         assert_eq!(
             Frame::decode(&wire).unwrap_err(),
@@ -313,20 +310,20 @@ mod tests {
         let data: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
         let frames = chunk_data(&data, 256);
         assert_eq!(frames.len(), 4);
-        let reassembled: Vec<u8> = frames.iter().flat_map(|f| f.payload.to_vec()).collect();
+        let reassembled: Vec<u8> = frames.iter().flat_map(|f| f.payload.clone()).collect();
         assert_eq!(reassembled, data);
         assert_eq!(frames[3].payload.len(), 1000 - 3 * 256);
     }
 
     #[test]
     fn frames_decode_from_a_stream_sequentially() {
-        let a = Frame::new(MessageType::Progress, Bytes::from_static(b"50%")).encode();
-        let b = Frame::new(MessageType::Progress, Bytes::from_static(b"99%")).encode();
+        let a = Frame::new(MessageType::Progress, b"50%").encode();
+        let b = Frame::new(MessageType::Progress, b"99%").encode();
         let stream: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
         let (first, used) = Frame::decode(&stream).unwrap();
         let (second, _) = Frame::decode(&stream[used..]).unwrap();
-        assert_eq!(first.payload.as_ref(), b"50%");
-        assert_eq!(second.payload.as_ref(), b"99%");
+        assert_eq!(first.payload, b"50%");
+        assert_eq!(second.payload, b"99%");
     }
 
     #[test]

@@ -342,7 +342,7 @@ fn resurrected_stale_primary_fails_closed_everywhere() {
             workers: 2,
             shed_policy: ShedPolicy::Block,
         },
-        RuntimeKind::Threads,
+        RuntimeKind::Async,
         TelemetryConfig::disabled(),
     );
     // Gateway traffic triggers the promotion.

@@ -108,7 +108,7 @@ fn wire_types_carry_no_key_material() {
 fn tampered_frames_are_rejected_by_the_relay() {
     use medsen::phone::{Frame, FrameError, MessageType};
     let frame = Frame::new(MessageType::DataChunk, vec![7u8; 128]);
-    let mut wire = frame.encode().to_vec();
+    let mut wire = frame.encode();
     wire[40] ^= 0x01;
     assert_eq!(
         Frame::decode(&wire).unwrap_err(),

@@ -7,8 +7,8 @@
 //!   survives binary encode→decode unchanged;
 //! * **observational equivalence** — for every message, decoding the
 //!   binary encoding and decoding the JSON encoding yield the *same*
-//!   value, so a binary-speaking dongle and a JSON debug client can
-//!   never disagree about what was said;
+//!   value, or both refuse it, so a binary-speaking dongle and a JSON
+//!   debug client can never disagree about what was said;
 //! * **the decoder never panics** — truncations, bit flips, and forged
 //!   headers produce typed errors, never a crash.
 //!
@@ -27,7 +27,7 @@ use medsen::cloud::{
 use medsen::impedance::{Channel, SignalComponent, SignalTrace};
 use medsen::microfluidics::ParticleKind;
 use medsen::units::Hertz;
-use medsen::wire::WireFormat;
+use medsen::wire::{WireError, WireFormat};
 use proptest::prelude::*;
 
 /// Finite, NaN-free doubles (wire equality is `PartialEq` on the decoded
@@ -38,6 +38,7 @@ fn arb_f64() -> impl Strategy<Value = f64> {
 
 /// Arbitrary rectangular traces: 1–3 channels, all the same length (the
 /// [`SignalTrace`] constructor enforces this, so the generator must too).
+/// About half draw a sample rate ≤ 0, which both decoders must refuse.
 fn arb_trace() -> impl Strategy<Value = SignalTrace> {
     (1usize..4, 0usize..24).prop_flat_map(|(channels, samples)| {
         (
@@ -127,6 +128,16 @@ fn arb_report() -> impl Strategy<Value = PeakReport> {
         )
 }
 
+/// Whether a sensor could have sent `request`. [`arb_f64`] draws only
+/// finite carriers and samples, so the sample rate is all that can make
+/// a generated trace one that the decoders refuse.
+fn sensor_could_send(request: &Request) -> bool {
+    match request {
+        Request::Analyze { trace, .. } => trace.sample_rate.value() > 0.0,
+        _ => true,
+    }
+}
+
 fn arb_request() -> impl Strategy<Value = Request> {
     (0usize..5).prop_flat_map(|variant| {
         let b: Box<dyn Strategy<Value = Request>> = match variant {
@@ -203,12 +214,13 @@ fn arb_response() -> impl Strategy<Value = Response> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Binary round-trip identity for every request variant.
+    /// Binary round-trip identity for every request variant; a trace no
+    /// sensor could send is refused instead.
     #[test]
     fn requests_round_trip_in_binary(request in arb_request()) {
         let bytes = encode_request(WireFormat::Binary, &request).expect("encodes");
-        let back = decode_request(WireFormat::Binary, &bytes).expect("decodes");
-        prop_assert_eq!(back, request);
+        let back = decode_request(WireFormat::Binary, &bytes).ok();
+        prop_assert_eq!(back, sensor_could_send(&request).then_some(request));
     }
 
     /// Binary round-trip identity for every response variant.
@@ -220,15 +232,15 @@ proptest! {
     }
 
     /// Observational equivalence: the binary and JSON encodings of one
-    /// request decode to the same value.
+    /// request decode to the same value, or are both refused.
     #[test]
     fn request_formats_are_observationally_equivalent(request in arb_request()) {
         let binary = encode_request(WireFormat::Binary, &request).expect("binary encodes");
         let json = encode_request(WireFormat::Json, &request).expect("json encodes");
-        let from_binary = decode_request(WireFormat::Binary, &binary).expect("binary decodes");
-        let from_json = decode_request(WireFormat::Json, &json).expect("json decodes");
+        let from_binary = decode_request(WireFormat::Binary, &binary).ok();
+        let from_json = decode_request(WireFormat::Json, &json).ok();
         prop_assert_eq!(&from_binary, &from_json);
-        prop_assert_eq!(from_binary, request);
+        prop_assert_eq!(from_binary, sensor_could_send(&request).then_some(request));
     }
 
     /// Observational equivalence for responses.
@@ -281,6 +293,63 @@ proptest! {
         // Raw garbage (no valid frame at all) too.
         let _ = decode_request(WireFormat::Binary, &body);
         let _ = decode_response(WireFormat::Binary, &body);
+    }
+}
+
+/// An Analyze request for two channels of three samples each: one at
+/// `carrier` whose middle sample is `sample`, and one at 2 MHz.
+fn analyze(rate: f64, carrier: f64, sample: f64) -> Request {
+    let mut probe = Channel::new(Hertz::new(carrier));
+    probe.samples = vec![1.0, sample, 1.0];
+    let mut reference = Channel::new(Hertz::from_khz(2000.0));
+    reference.samples = vec![1.0; 3];
+    Request::Analyze {
+        trace: SignalTrace::new(Hertz::new(rate), vec![probe, reference]),
+        authenticate: false,
+    }
+}
+
+/// The JSON decoder refuses the traces the binary one does, for the same
+/// reason (the binary cases are unit tests of `SignalTrace`): ±1e999,
+/// which parses to ±∞, as a rate, carrier or sample; ragged channels;
+/// and a sample rate of zero or below, in both formats.
+#[test]
+fn both_formats_refuse_a_trace_no_sensor_can_produce() {
+    const RATE: &str = "trace sample rate is not finite and positive";
+    let json_text = |request: &Request| {
+        String::from_utf8(encode_request(WireFormat::Json, request).expect("encodes"))
+            .expect("json is utf-8")
+    };
+    let refused_in_json =
+        |text: &str, why: &str| match decode_request(WireFormat::Json, text.as_bytes()) {
+            Err(WireError::Codec(reason)) => assert!(reason.contains(why), "{text}: {reason}"),
+            other => panic!("{text}: {other:?}"),
+        };
+
+    // Each marker value appears once in the JSON text.
+    let good = analyze(451.25, 500_001.5, 0.8125);
+    let text = json_text(&good);
+    assert_eq!(decode_request(WireFormat::Json, text.as_bytes()), Ok(good));
+    for huge in ["1e999", "-1e999"] {
+        refused_in_json(&text.replace("451.25", huge), RATE);
+        refused_in_json(
+            &text.replace("500001.5", huge),
+            "trace carrier is not finite",
+        );
+        refused_in_json(&text.replace("0.8125", huge), "trace sample is not finite");
+    }
+    refused_in_json(
+        &text.replace("0.8125,", ""),
+        "trace channels have unequal lengths",
+    );
+    for rate in [0.0, -0.0, -450.0] {
+        let request = analyze(rate, 5e5, 1.0);
+        let binary = encode_request(WireFormat::Binary, &request).expect("encodes");
+        assert_eq!(
+            decode_request(WireFormat::Binary, &binary),
+            Err(WireError::Invalid(RATE))
+        );
+        refused_in_json(&json_text(&request), RATE);
     }
 }
 
