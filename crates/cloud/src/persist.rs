@@ -11,7 +11,7 @@
 //! is the shortest entry list that rebuilds its shard. Both are stored
 //! as `[WIRE_VERSION][value]` in the `medsen-wire` binary encoding the
 //! requests and replies use, so one versioned, total decoder reads the
-//! wire and the disk. [`open_storage`] is the replay that rebuilds a
+//! wire and the disk. `open_storage` is the replay that rebuilds a
 //! [`ShardedAuth`] + [`RecordStore`] pair from disk.
 //!
 //! A directory written before this encoding holds JSON entries and

@@ -191,8 +191,8 @@ impl CloudService {
     /// Pairs this durable service (as primary) with a durable `standby`:
     /// every journaled WAL frame ships to the standby after the local
     /// append, snapshot transfers catch up lagging shards, and the
-    /// returned [`ReplicatedCloud`] owns the fenced promotion path. See
-    /// [`crate::replica`].
+    /// returned [`ReplicatedCloud`](crate::ReplicatedCloud) owns the
+    /// fenced promotion path. See [`crate::replica`].
     ///
     /// # Errors
     ///

@@ -26,9 +26,9 @@
 //! Backpressure is explicit: when the queue is full the [`ShedPolicy`]
 //! either blocks the submitter or sheds the request with a retry-after
 //! hint, and every outcome lands in [`GatewayMetrics`]. Retry-after and
-//! backoff waits are paced on the gateway's time-compressed timer wheel
-//! (see [`Gateway::pace`]), so shed-heavy tests cost milliseconds of real
-//! time, not seconds.
+//! backoff waits are paced in compressed simulated time (real time is the
+//! wait ÷ `TIME_COMPRESSION`), so shed-heavy tests cost milliseconds of
+//! real time, not seconds.
 
 use crate::fountain::{
     FountainConfig, FountainIngestError, FountainIngress, FountainInstruments, IngestStep,
@@ -50,7 +50,7 @@ use medsen_wire::WireFormat;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -559,10 +559,6 @@ pub struct Gateway {
     /// Span ring + exemplars, when [`TelemetryConfig::spans`] is on.
     tracing: Option<Arc<GatewayTracing>>,
     engine: AsyncEngine,
-    /// Time-compressed wheel pacing shed retry-after and backoff waits.
-    /// Created lazily on the first paced wait: a scaled timer owns a
-    /// driver thread, and gateways that never shed should not pay for one.
-    pacer: OnceLock<runtime::Timer>,
     shed_policy: ShedPolicy,
     next_session: AtomicU64,
     /// Admin drain state: once set, new submissions are refused with
@@ -677,7 +673,6 @@ impl Gateway {
             registry,
             tracing,
             engine,
-            pacer: OnceLock::new(),
             shed_policy: config.shed_policy,
             next_session: AtomicU64::new(1),
             drained: AtomicBool::new(false),
@@ -816,17 +811,15 @@ impl Gateway {
         self.next_session.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Parks the calling session for `wait` of *simulated* time on the
-    /// gateway's compressed timer wheel (real time = `wait` ÷
-    /// [`TIME_COMPRESSION`]). Used for shed retry-after hints and flaky
-    /// -link backoffs: drain pacing is preserved without burning
-    /// wall-clock seconds.
+    /// Sleeps the calling session for `wait` of *simulated* time, that is
+    /// `wait` ÷ [`TIME_COMPRESSION`] of real time. Used for shed
+    /// retry-after hints and flaky-link backoffs: drain pacing is
+    /// preserved without burning wall-clock seconds. A wait that is not
+    /// finite and positive returns at once.
     pub(crate) fn pace(&self, wait: Seconds) {
         let secs = wait.value();
         if secs.is_finite() && secs > 0.0 {
-            self.pacer
-                .get_or_init(|| runtime::Timer::scaled(TIME_COMPRESSION))
-                .sleep_blocking(Duration::from_secs_f64(secs));
+            thread::sleep(Duration::from_secs_f64(secs / TIME_COMPRESSION));
         }
     }
 
@@ -1609,14 +1602,14 @@ mod tests {
 
     /// A paced shed wait must cost ~wait ÷ [`TIME_COMPRESSION`] of real
     /// time — compressed, but never skipped. The idle gap between the two
-    /// `pace` calls is the regression half: a pacer whose wheel goes stale
-    /// while parked used to date post-idle deadlines in the past and turn
-    /// retry-after waits into no-ops.
+    /// `pace` calls is the regression half: a pacer that dated deadlines
+    /// from a clock gone stale while idle would put post-idle deadlines in
+    /// the past and turn retry-after waits into no-ops.
     #[test]
     fn pace_compresses_the_wait_without_skipping_it() {
         let gw = Gateway::new(CloudService::new(), GatewayConfig::clinic_default());
-        // Prime the lazy pacer, then leave it idle long enough that the
-        // gap dwarfs the next wait (30 ms real = 1.5 s virtual at 50×).
+        // Pace once, then leave the pacer idle long enough that the gap
+        // dwarfs the next wait (30 ms real = 1.5 s virtual at 50×).
         gw.pace(Seconds::from_millis(50.0));
         thread::sleep(Duration::from_millis(30));
         let started = Instant::now();
@@ -1630,6 +1623,24 @@ mod tests {
         assert!(
             real < Duration::from_millis(1000),
             "paced wait was not compressed: {real:?}"
+        );
+        gw.shutdown();
+    }
+
+    /// A wait that is not finite and positive must return at once:
+    /// `Duration::from_secs_f64` panics on NaN, ±∞ and negatives, and
+    /// `pace`'s guard is all that keeps those hints away from it.
+    #[test]
+    fn pace_returns_at_once_for_waits_that_are_not_finite_and_positive() {
+        let gw = Gateway::new(CloudService::new(), GatewayConfig::clinic_default());
+        let started = Instant::now();
+        for secs in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            gw.pace(Seconds::new(secs));
+        }
+        let real = started.elapsed();
+        assert!(
+            real < Duration::from_millis(50),
+            "unpaceable waits slept: {real:?}"
         );
         gw.shutdown();
     }

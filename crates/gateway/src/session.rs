@@ -458,8 +458,8 @@ impl<'g> DongleSession<'g> {
             spent += backoff;
             self.stats.link_retries += 1;
             metrics.on_retried();
-            // Park on the gateway's compressed timer wheel so retries pace
-            // the real queue without burning real backoff seconds.
+            // Wait in the gateway's compressed time so retries pace the
+            // real queue without burning real backoff seconds.
             self.gateway.pace(backoff);
         }
         metrics.uplink_time.record_seconds(spent.value());
@@ -500,9 +500,9 @@ impl<'g> DongleSession<'g> {
                     self.stats.shed_retries += 1;
                     metrics.on_retried();
                     // Unlike the modeled uplink, the queue is real: the
-                    // retry-after hint becomes a wait on the gateway's
-                    // time-compressed timer wheel, so workers still drain
-                    // between resubmissions but the session parks for
+                    // retry-after hint becomes a wait in the gateway's
+                    // compressed time, so workers still drain between
+                    // resubmissions but the session sleeps for
                     // milliseconds of real time instead of the full hint.
                     self.gateway.pace(retry_after);
                 }

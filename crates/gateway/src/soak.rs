@@ -23,8 +23,8 @@
 //!   contract), while overload pressure visibly drags
 //!   `telemetry.sampler_permille` below 1000.
 //!
-//! "Scaled clock" means shed retry-after hints park on the gateway's
-//! time-compressed timer wheel (see `TIME_COMPRESSION`), so a storm that
+//! "Scaled clock" means shed retry-after hints sleep in the gateway's
+//! compressed simulated time (see `TIME_COMPRESSION`), so a storm that
 //! would pace out over minutes of simulated time runs in real seconds —
 //! which is what lets the standard preset push ≥10⁶ requests through a
 //! debug-profile test run.
@@ -53,9 +53,8 @@ const SHED_SESSION: u64 = 0xF00D;
 const FOUNTAIN_SESSION_BASE: u64 = 0x4000;
 /// First session id of the failover phase.
 const FAILOVER_SESSION_BASE: u64 = 0x8000;
-/// Pace the shed storm onto the compressed timer wheel every this many
-/// refusals — enough to exercise the wheel without serializing the storm
-/// on it.
+/// Pace the shed storm in compressed time every this many refusals —
+/// enough to exercise the pacing without serializing the storm on it.
 const SHED_PACE_STRIDE: u64 = 256;
 
 /// Phase sizing for one soak run.
@@ -367,7 +366,7 @@ pub fn run(config: &SoakConfig) -> SoakReport {
             Err(SubmitError::Busy { retry_after, .. }) => {
                 shed += 1;
                 if i.is_multiple_of(SHED_PACE_STRIDE) {
-                    // Park on the compressed wheel like a real session
+                    // Wait in compressed time like a real session
                     // honoring the hint — the "scaled clock" in action.
                     gateway.pace(retry_after);
                 }

@@ -3,7 +3,7 @@
 //! The executor is deliberately simple: one injector run queue protected
 //! by a mutex + condvar, N worker threads popping tasks, and `Arc`-based
 //! wakers (via [`std::task::Wake`]) pushing tasks back when their I/O —
-//! here, timers and channels — becomes ready. Simplicity is the point:
+//! here, channels — becomes ready. Simplicity is the point:
 //! every later subsystem (session sharding, drain/pause) must be able to
 //! reason about exactly when a task runs.
 
@@ -90,7 +90,7 @@ impl Executor {
     }
 
     /// Stops the pool: already-runnable tasks are drained, workers join.
-    /// Tasks still parked on external wakers (timers, channels) are
+    /// Tasks still parked on external wakers (channels) are
     /// abandoned, so quiesce the workload first.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
@@ -171,8 +171,8 @@ impl Wake for ThreadWaker {
 }
 
 /// Drives `future` to completion on the calling thread, parking between
-/// polls. Independent of any [`Executor`]: sessions use it to await
-/// timer-paced submissions without occupying a pool thread.
+/// polls. Independent of any [`Executor`]: a blocking submitter uses it
+/// to await room in a lane without occupying a pool thread.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let parker = Arc::new(ThreadWaker {
         thread: thread::current(),

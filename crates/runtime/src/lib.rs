@@ -1,96 +1,34 @@
-//! # medsen-runtime — a hand-rolled async substrate for the fleet
+//! # medsen-runtime — the gateway's task engine
 //!
 //! The MedSen deployment story is many cheap dongles streaming encrypted
 //! traces to one cloud service. Serving that fleet with an OS thread per
 //! session caps concurrency at a few hundred; this crate provides the
-//! task model that removes the cap, built on `std` alone (the workspace's
-//! dependency set is frozen, and a concurrency substrate is exactly the
-//! code that should not ride on vendored stubs):
+//! task model the gateway's workers run on, built on `std` alone (the
+//! workspace's dependency set is frozen, and a concurrency substrate is
+//! exactly the code that should not ride on vendored stubs):
 //!
 //! * [`Executor`] — a fixed pool of worker threads multiplexing any
 //!   number of tasks over a mutex+condvar run queue, with `Arc`-based
 //!   [`std::task::Wake`] wakers. Wakes landing mid-poll re-arm the task
 //!   (`RUNNING → NOTIFIED`), so no wakeup is lost.
 //! * [`block_on`] — drives one future on the calling thread, parking
-//!   between polls; how synchronous session code awaits timer pacing.
-//! * [`Timer`] — a four-level hierarchical timer wheel (64 slots/level,
-//!   1 ms ticks) with three clocks: [`Clock::Manual`] for deterministic
-//!   tests, [`Clock::Wall`] for real time, and [`Clock::Scaled`] for
-//!   compressed simulated time (a 50 ms simulated shed wait parks
-//!   50 ms ÷ factor of real time).
+//!   between polls; how a `ShedPolicy::Block` submitter waits for room
+//!   in a full lane.
 //! * [`channel`] — an async bounded MPMC channel whose close semantics
 //!   (drain, then disconnect) mirror the gateway's shutdown contract.
 //! * [`yield_now`] — a cooperative yield point so long-running tasks
 //!   share their worker thread.
-//!
-//! [`Runtime`] bundles an executor with a timer for consumers — the
-//! gateway among them — that want both under one handle.
 
 pub mod channel;
 mod executor;
 mod task;
-mod timer;
 
 pub use executor::{block_on, Executor};
 pub use task::JoinHandle;
-pub use timer::{Clock, Sleep, Timer};
 
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
-use std::time::Duration;
-
-/// An executor paired with a timer: the full substrate under one handle.
-#[derive(Debug)]
-pub struct Runtime {
-    executor: Executor,
-    timer: Timer,
-}
-
-impl Runtime {
-    /// A pool of `threads` workers and a timer on the given clock.
-    pub fn new(threads: usize, clock: Clock) -> Self {
-        let timer = match clock {
-            Clock::Manual => Timer::manual(),
-            Clock::Wall => Timer::wall(),
-            Clock::Scaled(factor) => Timer::scaled(factor),
-        };
-        Self {
-            executor: Executor::new(threads),
-            timer,
-        }
-    }
-
-    /// Schedules a task on the pool.
-    pub fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
-    where
-        F: Future + Send + 'static,
-        F::Output: Send + 'static,
-    {
-        self.executor.spawn(future)
-    }
-
-    /// A future completing after `duration` of virtual time.
-    pub fn sleep(&self, duration: Duration) -> Sleep {
-        self.timer.sleep(duration)
-    }
-
-    /// The timer half (cloneable).
-    pub fn timer(&self) -> &Timer {
-        &self.timer
-    }
-
-    /// The executor half.
-    pub fn executor(&self) -> &Executor {
-        &self.executor
-    }
-
-    /// Stops the worker pool; the timer's driver stops when the last
-    /// [`Timer`] clone drops.
-    pub fn shutdown(self) {
-        self.executor.shutdown();
-    }
-}
 
 /// Cooperatively yields the current task back to the run queue once, so
 /// sibling tasks on the same worker thread get a turn.
@@ -137,25 +75,13 @@ mod tests {
     }
 
     #[test]
-    fn runtime_bundles_spawn_and_sleep() {
-        let runtime = Runtime::new(2, Clock::Scaled(1000.0));
-        let timer = runtime.timer().clone();
-        let handle = runtime.spawn(async move {
-            timer.sleep(Duration::from_millis(500)).await;
-            "slept"
-        });
-        assert_eq!(handle.join(), "slept");
-        runtime.shutdown();
-    }
-
-    #[test]
     fn yield_interleaves_two_tasks_on_one_thread() {
-        let runtime = Runtime::new(1, Clock::Manual);
+        let executor = Executor::new(1);
         let log = Arc::new(std::sync::Mutex::new(Vec::new()));
         let handles: Vec<_> = (0..2)
             .map(|id| {
                 let log = Arc::clone(&log);
-                runtime.spawn(async move {
+                executor.spawn(async move {
                     for step in 0..3 {
                         log.lock().unwrap().push((id, step));
                         yield_now().await;
@@ -175,6 +101,6 @@ mod tests {
                 && log[..first_done].iter().any(|&(id, _)| id == 1),
             "tasks must interleave: {log:?}"
         );
-        runtime.shutdown();
+        executor.shutdown();
     }
 }

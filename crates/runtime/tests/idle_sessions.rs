@@ -1,40 +1,36 @@
 //! Fleet-scale acceptance test for the runtime: thousands of concurrently
 //! *idle* sessions must cost a task each, not a thread each.
 //!
-//! Each simulated session parks twice — once on a timer-wheel sleep
-//! (modeling a retry-after wait) and once on a channel receive (modeling
-//! an idle dongle waiting for its next sample window) — while the whole
-//! fleet is multiplexed over a four-thread executor.
+//! Each simulated session parks on a channel receive (modeling an idle
+//! dongle waiting for its next sample window) while the whole fleet is
+//! multiplexed over a four-thread executor.
 
-use medsen_runtime::{channel, Clock, Runtime};
+use medsen_runtime::{channel, Executor};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 const SESSIONS: usize = 2048;
 const POOL_THREADS: usize = 4;
 
 #[test]
 fn two_thousand_idle_sessions_on_a_four_thread_pool() {
-    let runtime = Runtime::new(POOL_THREADS, Clock::Manual);
-    assert_eq!(runtime.executor().threads(), POOL_THREADS);
+    let executor = Executor::new(POOL_THREADS);
+    assert_eq!(executor.threads(), POOL_THREADS);
 
     let (work_tx, work_rx) = channel::bounded::<usize>(64);
+    let parked = Arc::new(AtomicUsize::new(0));
     let completed = Arc::new(AtomicUsize::new(0));
 
     let handles: Vec<_> = (0..SESSIONS)
-        .map(|i| {
-            let timer = runtime.timer().clone();
+        .map(|_| {
             let work_rx = work_rx.clone();
+            let parked = Arc::clone(&parked);
             let completed = Arc::clone(&completed);
-            runtime.spawn(async move {
-                // Phase 1: every session idles on the timer wheel. With a
-                // manual clock nothing can fire until the test advances
-                // time, so all SESSIONS tasks are provably parked at once.
-                timer
-                    .sleep(Duration::from_millis(10 + (i % 50) as u64))
-                    .await;
-                // Phase 2: idle again, now on the work channel.
+            executor.spawn(async move {
+                // Every session idles on the work channel. Nothing is sent
+                // until all SESSIONS tasks have counted themselves here, so
+                // every one of them waits on the empty channel at once.
+                parked.fetch_add(1, Ordering::Relaxed);
                 let token = work_rx.recv().await.expect("work arrives");
                 medsen_runtime::yield_now().await;
                 completed.fetch_add(1, Ordering::Relaxed);
@@ -44,23 +40,17 @@ fn two_thousand_idle_sessions_on_a_four_thread_pool() {
         .collect();
     drop(work_rx);
 
-    // All sessions must reach the timer park. The executor pool is busy
-    // only while first-polling; once pending() hits SESSIONS, every task
-    // is simultaneously idle and no OS thread is blocked per session.
-    while runtime.timer().pending() < SESSIONS {
+    // The executor pool is busy only while first-polling; once `parked`
+    // hits SESSIONS, every task is idle on the empty channel and no OS
+    // thread is blocked per session.
+    while parked.load(Ordering::Relaxed) < SESSIONS {
         std::thread::yield_now();
     }
-    assert_eq!(runtime.timer().pending(), SESSIONS);
-    assert_eq!(completed.load(Ordering::Relaxed), 0, "nothing fired yet");
-    assert_eq!(runtime.executor().tasks_spawned(), SESSIONS);
+    assert_eq!(completed.load(Ordering::Relaxed), 0, "nothing sent yet");
+    assert_eq!(executor.tasks_spawned(), SESSIONS);
 
-    // Release phase 1 in one advance; the wheel cascades 50 distinct
-    // deadlines in order.
-    runtime.timer().advance(Duration::from_millis(64));
-    assert_eq!(runtime.timer().pending(), 0);
-
-    // Feed phase 2: the bounded queue (64 deep) forces producers and the
-    // 2048 waiting consumers through the backpressure path.
+    // The bounded queue (64 deep) forces the producer and the 2048
+    // waiting consumers through the backpressure path.
     for i in 0..SESSIONS {
         medsen_runtime::block_on(work_tx.send(i)).expect("receivers alive");
     }
@@ -69,5 +59,5 @@ fn two_thousand_idle_sessions_on_a_four_thread_pool() {
     tokens.sort_unstable();
     assert_eq!(tokens, (0..SESSIONS).collect::<Vec<_>>(), "no token lost");
     assert_eq!(completed.load(Ordering::Relaxed), SESSIONS);
-    runtime.shutdown();
+    executor.shutdown();
 }

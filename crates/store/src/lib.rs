@@ -1,6 +1,6 @@
 //! # medsen-store — durable per-shard write-ahead logging
 //!
-//! The cloud tier's shards ([`medsen-cloud`]'s `ShardedAuth` +
+//! The cloud tier's shards (`medsen-cloud`'s `ShardedAuth` +
 //! `RecordStore`) are fast because they are memory-resident; this crate
 //! makes them durable without giving that up. Each shard owns an
 //! append-only log of CRC32-framed entries plus an optional compaction
@@ -55,8 +55,8 @@ pub enum FlushPolicy {
     /// commit). Crash loss window: up to `n - 1` entries per shard.
     EveryN(u64),
     /// Fsync all shards on a fixed cadence from a background thread
-    /// parked on the runtime timer wheel. Crash loss window: one
-    /// interval of writes.
+    /// that parks between sweeps. Crash loss window: one interval of
+    /// writes.
     EveryInterval(Duration),
 }
 

@@ -6,8 +6,8 @@
 //! operation to amortize is the `fsync`, not the `write`. The
 //! [`FlushPolicy`] decides when a shard's accumulated appends are made
 //! durable: on every write, once `N` appends have accumulated, or on a
-//! fixed cadence driven by a background thread parked on the runtime's
-//! timer wheel.
+//! fixed cadence driven by a background thread that parks between
+//! sweeps.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -249,7 +249,7 @@ impl Wal {
 
     /// Atomically replaces `shard`'s snapshot with `payload` and resets
     /// its log. The caller must hold whatever locks make `shard` quiesce
-    /// (see [`ShardWal::install_snapshot`]).
+    /// (see `ShardWal::install_snapshot`).
     ///
     /// # Panics
     /// Panics if `shard` is out of range for the layout.
@@ -324,6 +324,9 @@ impl Drop for Wal {
     fn drop(&mut self) {
         self.shared.stop_flusher.store(true, Ordering::Release);
         if let Some(handle) = self.flusher.take() {
+            // Wake the flusher from its park so the drop does not wait
+            // out the rest of its interval.
+            handle.thread().unpark();
             let _ = handle.join();
         }
         // Best effort: a failed flush here has nowhere to report, but the
@@ -333,13 +336,11 @@ impl Drop for Wal {
     }
 }
 
-/// Interval-flusher loop: parks on the runtime's wall-clock timer wheel
-/// between sweeps rather than `std::thread::sleep`, so the flusher shows
-/// up in the same timer infrastructure as the rest of the system.
+/// Interval-flusher loop: parks for one interval between sweeps. A
+/// spurious wake-up costs one early sweep.
 fn run_flusher(shared: Arc<WalShared>, interval: Duration) {
-    let timer = medsen_runtime::Timer::wall();
     while !shared.stop_flusher.load(Ordering::Acquire) {
-        timer.sleep_blocking(interval);
+        std::thread::park_timeout(interval);
         if shared.stop_flusher.load(Ordering::Acquire) {
             break;
         }
@@ -452,6 +453,28 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         drop(wal);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_interval_wal_closes_without_waiting_out_its_interval() {
+        let dir = temp_dir("intervaldrop");
+        let (wal, _) =
+            Wal::open(&dir, 1, FlushPolicy::EveryInterval(Duration::from_secs(10))).expect("open");
+        wal.append(0, 1, b"parked").expect("append");
+        // Let the flusher reach its park: a drop that lands before it
+        // parks never had to wait.
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        drop(wal);
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "drop waited out the flush interval: {took:?}"
+        );
+        let (_, recoveries) = Wal::open(&dir, 1, FlushPolicy::EveryWrite).expect("reopen");
+        assert_eq!(recoveries[0].frames.len(), 1);
+        assert_eq!(recoveries[0].frames[0].payload, b"parked");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,8 +11,8 @@
 //! * [`phone`] — accessory protocol, compression, link model;
 //! * [`core`] — cyto-coded passwords, diagnostics, the end-to-end pipeline;
 //! * [`gateway`] — concurrent multi-session ingestion in front of the cloud;
-//! * [`runtime`] — hand-rolled async executor, timer wheel, and channels
-//!   multiplexing fleet-scale session counts over a fixed thread pool;
+//! * [`runtime`] — hand-rolled async executor and channels multiplexing
+//!   the gateway's worker tasks over a fixed thread pool;
 //! * [`store`] — durable per-shard write-ahead log with group commit,
 //!   snapshots, and crash recovery backing the cloud tier;
 //! * [`replica`] — epoch-fenced WAL stream replication pairing each

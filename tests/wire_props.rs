@@ -12,6 +12,10 @@
 //! * **the decoder never panics** — truncations, bit flips, and forged
 //!   headers produce typed errors, never a crash.
 //!
+//! A gateway law rides along: any request a client can encode, its
+//! traces full of NaN, ±∞, subnormals and huge finite values, gets a
+//! reply, and the lane that served it keeps serving.
+//!
 //! A fourth, non-fuzzed section pins the fountain crate's frozen CRC-32
 //! copy bit-equal to the shared `medsen-wire` implementation (the same
 //! pin discipline the security audit applies to the keystream PRNG):
@@ -19,16 +23,20 @@
 //! dongles, so its checksum must never drift even though the crate
 //! deliberately keeps its own copy.
 
-use medsen::cloud::service::{Request, Response};
+use medsen::cloud::service::{CloudService, Request, Response};
 use medsen::cloud::wire::{decode_request, decode_response, encode_request, encode_response};
 use medsen::cloud::{
     AnalyzedPeak, AuthDecision, BeadSignature, PeakReport, RecordId, StoredRecord,
 };
+use medsen::gateway::{encode_upload_wire, Gateway, GatewayConfig, ShedPolicy};
 use medsen::impedance::{Channel, SignalComponent, SignalTrace};
 use medsen::microfluidics::ParticleKind;
 use medsen::units::Hertz;
 use medsen::wire::{WireError, WireFormat};
 use proptest::prelude::*;
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 /// Finite, NaN-free doubles (wire equality is `PartialEq` on the decoded
 /// values, so NaN payloads would vacuously fail the laws they ride in).
@@ -36,17 +44,42 @@ fn arb_f64() -> impl Strategy<Value = f64> {
     (any::<i32>(), 1u32..1000).prop_map(|(n, d)| n as f64 / d as f64)
 }
 
+/// Special doubles a forger can put in a trace. The first seven are
+/// finite: decode accepts them as samples and carriers, and the positive
+/// ones as a rate. Both decoders refuse the last three anywhere.
+const EXTREMES: [f64; 10] = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    1e300,
+    -1e300,
+    f64::MAX,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// One of `extremes` half the time, otherwise an [`arb_f64`].
+fn extreme_f64(extremes: &'static [f64]) -> impl Strategy<Value = f64> {
+    (0..extremes.len() * 2, arb_f64())
+        .prop_map(move |(pick, ordinary)| extremes.get(pick).copied().unwrap_or(ordinary))
+}
+
 /// Arbitrary rectangular traces: 1–3 channels, all the same length (the
 /// [`SignalTrace`] constructor enforces this, so the generator must too).
-/// About half draw a sample rate ≤ 0, which both decoders must refuse.
-fn arb_trace() -> impl Strategy<Value = SignalTrace> {
-    (1usize..4, 0usize..24).prop_flat_map(|(channels, samples)| {
+/// Rate, carriers and samples are drawn from `float`; with [`arb_f64`]
+/// about half draw a sample rate ≤ 0, which both decoders must refuse.
+fn arb_trace<S: Strategy<Value = f64>>(
+    float: impl Fn() -> S + Copy,
+) -> impl Strategy<Value = SignalTrace> {
+    (1usize..4, 0usize..24).prop_flat_map(move |(channels, samples)| {
         (
-            arb_f64(),
+            float(),
             proptest::collection::vec(
                 (
-                    arb_f64(),
-                    proptest::collection::vec(arb_f64(), samples),
+                    float(),
+                    proptest::collection::vec(float(), samples),
                     0usize..2,
                 ),
                 channels,
@@ -139,10 +172,17 @@ fn sensor_could_send(request: &Request) -> bool {
 }
 
 fn arb_request() -> impl Strategy<Value = Request> {
-    (0usize..5).prop_flat_map(|variant| {
+    arb_request_over(arb_f64)
+}
+
+/// Arbitrary requests whose traces draw their floats from `f`.
+fn arb_request_over<S: Strategy<Value = f64> + 'static>(
+    f: impl Fn() -> S + Copy + 'static,
+) -> impl Strategy<Value = Request> {
+    (0usize..5).prop_flat_map(move |variant| {
         let b: Box<dyn Strategy<Value = Request>> = match variant {
             0 => Box::new(
-                (arb_trace(), any::<bool>()).prop_map(|(trace, authenticate)| Request::Analyze {
+                (arb_trace(f), any::<bool>()).prop_map(|(trace, authenticate)| Request::Analyze {
                     trace,
                     authenticate,
                 }),
@@ -293,6 +333,62 @@ proptest! {
         // Raw garbage (no valid frame at all) too.
         let _ = decode_request(WireFormat::Binary, &body);
         let _ = decode_response(WireFormat::Binary, &body);
+    }
+}
+
+/// Requests whose traces draw adversarial floats. In half of them the
+/// traces hold only finite values, so those with a positive rate pass
+/// decode and reach the DSP; the rest may also hold NaN and ±∞, which
+/// the decoders refuse.
+fn arb_hostile_request() -> impl Strategy<Value = Request> {
+    any::<bool>().prop_flat_map(|finite| {
+        let extremes: &'static [f64] = if finite { &EXTREMES[..7] } else { &EXTREMES };
+        arb_request_over(move || extreme_f64(extremes))
+    })
+}
+
+/// Runs `f` on its own thread and gives up on it after `limit`.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit).ok()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A gateway lane survives any request a client can encode: each one,
+    /// in binary and (when it encodes) in JSON, gets a reply within the
+    /// limit, the lane's only worker then answers a `Ping`, and the
+    /// gateway shuts down within the limit.
+    #[test]
+    fn any_request_gets_a_reply_and_the_lane_keeps_serving(
+        request in arb_hostile_request(),
+    ) {
+        const LIMIT: Duration = Duration::from_secs(5);
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 4,
+                workers: 1,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        for format in [WireFormat::Binary, WireFormat::Json] {
+            // JSON has no spelling for NaN or ±∞.
+            let Ok(body) = encode_request(format, &request) else {
+                continue;
+            };
+            let reply = gw.submit(encode_upload_wire(1, format, &body)).expect("accepted");
+            let reply = within(LIMIT, move || reply.wait());
+            prop_assert!(matches!(reply, Some(Ok(_))), "{}: {:?}", format, reply);
+            let ping = encode_request(format, &Request::Ping).expect("encodes");
+            let pong = gw.submit(encode_upload_wire(2, format, &ping)).expect("accepted");
+            prop_assert_eq!(within(LIMIT, move || pong.wait()), Some(Ok(Response::Pong)));
+        }
+        prop_assert!(within(LIMIT, move || gw.shutdown()).is_some(), "shutdown hung");
     }
 }
 
