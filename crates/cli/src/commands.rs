@@ -874,10 +874,14 @@ pub fn telemetry(args: &[String], out: Out) -> Result<(), String> {
                     authenticate: false,
                 }
             };
-            let json =
-                medsen_phone::to_json(&request).map_err(|e| format!("encode failed: {e}"))?;
+            let json = medsen_cloud::wire::encode_request(medsen::wire::WireFormat::Json, &request)
+                .map_err(|e| format!("encode failed: {e}"))?;
             gateway
-                .submit(medsen_gateway::encode_upload(i as u64 + 1, &json))
+                .submit(medsen_gateway::encode_upload_wire(
+                    i as u64 + 1,
+                    medsen::wire::WireFormat::Json,
+                    &json,
+                ))
                 .map_err(|e| format!("submit failed: {e}"))
         })
         .collect::<Result<_, String>>()?;

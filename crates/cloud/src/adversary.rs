@@ -23,10 +23,9 @@ use crate::api::PeakReport;
 use crate::auth::BeadSignature;
 use medsen_audit::SequentialDistinguisher;
 use medsen_microfluidics::ParticleKind;
-use serde::{Deserialize, Serialize};
 
 /// The result of one attack run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackOutcome {
     /// The adversary's estimate of the true cell count.
     pub estimated_cells: usize,
@@ -105,7 +104,7 @@ fn run_grouping(
 /// Attack 1: group consecutive peaks of (near-)equal amplitude into per-cell
 /// groups. Works when output gains are constant; the cipher's random `G(t)`
 /// shatters the groups.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmplitudeGroupingAttack {
     /// Relative amplitude tolerance for "the exact same amplitude".
     pub rel_tolerance: f64,
@@ -143,7 +142,7 @@ impl Default for AmplitudeGroupingAttack {
 
 /// Attack 2: group consecutive peaks of (near-)equal width. Works when the
 /// flow speed is constant; the cipher's random `S(t)` varies widths 4×.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WidthGroupingAttack {
     /// Relative width tolerance.
     pub rel_tolerance: f64,
@@ -181,7 +180,7 @@ impl Default for WidthGroupingAttack {
 /// Attack 3: pure temporal burst clustering — one group per quiet-gap-
 /// separated burst of peaks. The paper's Sec. VII-A limitation: effective on
 /// sparse samples, defeated by realistic densities where bursts overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstClusteringAttack {
     /// Minimum quiet gap that separates two cells' bursts.
     pub max_gap_s: f64,

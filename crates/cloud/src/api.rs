@@ -4,12 +4,12 @@
 //! the absence of any key material, electrode identity, or plaintext count —
 //! the server can only ever hand back peak statistics.
 
-use medsen_wire::{Reader, Wire, WireError, Writer};
-use serde::{Deserialize, Serialize};
+use medsen_wire::json::required;
+use medsen_wire::{Json, JsonReader, JsonWriter, Reader, Wire, WireError, Writer};
 
 /// One peak as analyzed by the server: timing, shape, and per-carrier
 /// amplitudes (the classification features of Fig. 16).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzedPeak {
     /// Peak timestamp, seconds from acquisition start.
     pub time_s: f64,
@@ -33,7 +33,7 @@ impl AnalyzedPeak {
 }
 
 /// The server's full analysis result for one acquisition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeakReport {
     /// All detected peaks, in time order.
     pub peaks: Vec<AnalyzedPeak>,
@@ -46,7 +46,6 @@ pub struct PeakReport {
     /// Robust noise-floor estimate (σ) of the reference channel's depth
     /// signal. A deployment alarms when this leaves the sensor's normal
     /// band — the explicit failure signature for a degraded sensor.
-    #[serde(default)]
     pub noise_sigma: f64,
 }
 
@@ -120,6 +119,72 @@ impl Wire for PeakReport {
     }
 }
 
+impl Json for AnalyzedPeak {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("time_s", &self.time_s);
+            w.field("amplitude", &self.amplitude);
+            w.field("width_s", &self.width_s);
+            w.field("features", &self.features);
+        });
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        let (mut time_s, mut amplitude, mut width_s, mut features) = (None, None, None, None);
+        r.object(|key, r| {
+            match key {
+                "time_s" => time_s = Some(r.f64()?),
+                "amplitude" => amplitude = Some(r.f64()?),
+                "width_s" => width_s = Some(r.f64()?),
+                "features" => features = Some(Vec::json_decode(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(AnalyzedPeak {
+            time_s: required(time_s, "time_s")?,
+            amplitude: required(amplitude, "amplitude")?,
+            width_s: required(width_s, "width_s")?,
+            features: required(features, "features")?,
+        })
+    }
+}
+
+/// A missing `noise_sigma` reads as 0: reports from before the field
+/// existed still decode.
+impl Json for PeakReport {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("peaks", &self.peaks);
+            w.field("carriers_hz", &self.carriers_hz);
+            w.field("sample_rate_hz", &self.sample_rate_hz);
+            w.field("duration_s", &self.duration_s);
+            w.field("noise_sigma", &self.noise_sigma);
+        });
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        let (mut peaks, mut carriers_hz, mut sample_rate_hz) = (None, None, None);
+        let (mut duration_s, mut noise_sigma) = (None, None);
+        r.object(|key, r| {
+            match key {
+                "peaks" => peaks = Some(Vec::json_decode(r)?),
+                "carriers_hz" => carriers_hz = Some(Vec::json_decode(r)?),
+                "sample_rate_hz" => sample_rate_hz = Some(r.f64()?),
+                "duration_s" => duration_s = Some(r.f64()?),
+                "noise_sigma" => noise_sigma = Some(r.f64()?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(PeakReport {
+            peaks: required(peaks, "peaks")?,
+            carriers_hz: required(carriers_hz, "carriers_hz")?,
+            sample_rate_hz: required(sample_rate_hz, "sample_rate_hz")?,
+            duration_s: required(duration_s, "duration_s")?,
+            noise_sigma: noise_sigma.unwrap_or_default(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,11 +228,22 @@ mod tests {
 
     #[test]
     fn report_is_wire_safe() {
-        // The report crosses the network: it must be serializable in both
-        // directions and carry no key material by type (checked at compile
-        // time — `PeakReport` cannot even name `CipherKey`).
-        fn assert_wire<T: Serialize + for<'de> Deserialize<'de> + Send + Sync>() {}
+        // The report crosses the network: it must encode and decode in
+        // both wire formats and carry no key material by type (checked at
+        // compile time — `PeakReport` cannot even name `CipherKey`).
+        fn assert_wire<T: Wire + Json + Send + Sync>() {}
         assert_wire::<PeakReport>();
         assert_wire::<AnalyzedPeak>();
+    }
+
+    #[test]
+    fn a_report_without_noise_sigma_reads_it_as_zero() {
+        use medsen_wire::{JsonWire, WireCodec};
+        let json = br#"{"peaks":[],"carriers_hz":[5e5],"sample_rate_hz":450,"duration_s":1}"#;
+        let report: PeakReport = JsonWire.decode(json).expect("decodes");
+        assert_eq!(report.noise_sigma, 0.0);
+        assert_eq!(report.carriers_hz, vec![5e5]);
+        let missing_peaks = br#"{"carriers_hz":[],"sample_rate_hz":450,"duration_s":1}"#;
+        assert!(WireCodec::<PeakReport>::decode(&JsonWire, missing_peaks).is_err());
     }
 }

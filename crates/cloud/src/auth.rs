@@ -12,12 +12,12 @@ use crate::api::PeakReport;
 use medsen_dsp::classify::Classifier;
 use medsen_dsp::features::FeatureVector;
 use medsen_microfluidics::ParticleKind;
-use medsen_wire::{Reader, Wire, WireError, Writer};
-use serde::{Deserialize, Serialize};
+use medsen_wire::json::{required, unknown_variant};
+use medsen_wire::{Json, JsonReader, JsonWriter, Reader, Wire, WireError, Writer};
 use std::collections::BTreeMap;
 
 /// A measured or enrolled bead signature: counts per bead type.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BeadSignature {
     counts: BTreeMap<ParticleKind, u64>,
 }
@@ -138,20 +138,60 @@ impl Wire for BeadSignature {
         let entries = r.get_count()?;
         let mut counts = BTreeMap::new();
         for _ in 0..entries {
-            let kind = ParticleKind::wire_decode(r)?;
-            // `set` panics on non-bead species; these bytes cross a trust
-            // boundary, so reject instead of asserting.
-            if !kind.is_password_bead() {
-                return Err(WireError::Invalid("non-bead species in bead signature"));
-            }
+            let kind = decoded_bead(ParticleKind::wire_decode(r)?)?;
             counts.insert(kind, r.get_u64()?);
         }
         Ok(Self { counts })
     }
 }
 
+/// The one check a signature key decoded from either wire format passes:
+/// `set` panics on non-bead species, and these bytes cross a trust
+/// boundary, so both decoders refuse one with the same error instead.
+fn decoded_bead(kind: ParticleKind) -> Result<ParticleKind, WireError> {
+    if kind.is_password_bead() {
+        Ok(kind)
+    } else {
+        Err(WireError::Invalid("non-bead species in bead signature"))
+    }
+}
+
+/// `{"counts":{"Bead358":40,..}}`: counts keyed by the bead's variant name.
+impl Json for BeadSignature {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("counts");
+            w.object(|w| {
+                for (kind, count) in &self.counts {
+                    w.field(kind.name(), count);
+                }
+            });
+        });
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        let mut counts = None;
+        r.object(|key, r| {
+            if key != "counts" {
+                return r.skip();
+            }
+            let mut decoded = BTreeMap::new();
+            r.object(|name, r| {
+                let kind = ParticleKind::from_name(name)
+                    .ok_or_else(|| unknown_variant("particle kind", name))?;
+                decoded.insert(decoded_bead(kind)?, u64::json_decode(r)?);
+                Ok(())
+            })?;
+            counts = Some(decoded);
+            Ok(())
+        })?;
+        Ok(Self {
+            counts: required(counts, "counts")?,
+        })
+    }
+}
+
 /// The server's authentication verdict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuthDecision {
     /// The measured signature matched exactly one enrolled user.
     Accepted {
@@ -196,6 +236,34 @@ impl Wire for AuthDecision {
                 tag,
             }),
         }
+    }
+}
+
+impl Json for AuthDecision {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        match self {
+            AuthDecision::Accepted { user_id } => {
+                w.variant("Accepted", |w| w.object(|w| w.field("user_id", user_id)));
+            }
+            AuthDecision::Rejected => w.str("Rejected"),
+            AuthDecision::Ambiguous { candidates } => {
+                w.variant("Ambiguous", |w| {
+                    w.object(|w| w.field("candidates", candidates));
+                });
+            }
+        }
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        r.variant(|name, payload| match (name, payload) {
+            ("Accepted", Some(r)) => Ok(AuthDecision::Accepted {
+                user_id: r.one_field("user_id")?,
+            }),
+            ("Rejected", None) => Ok(AuthDecision::Rejected),
+            ("Ambiguous", Some(r)) => Ok(AuthDecision::Ambiguous {
+                candidates: r.one_field("candidates")?,
+            }),
+            (name, _) => Err(unknown_variant("auth decision", name)),
+        })
     }
 }
 
@@ -323,6 +391,46 @@ mod tests {
 
     fn sig(b358: u64, b78: u64) -> BeadSignature {
         BeadSignature::from_counts(&[(ParticleKind::Bead358, b358), (ParticleKind::Bead78, b78)])
+    }
+
+    #[test]
+    fn both_formats_refuse_a_non_bead_key_with_the_same_error() {
+        use medsen_wire::{JsonWire, WireCodec};
+        let refused = Err(WireError::Invalid("non-bead species in bead signature"));
+        for cell in [
+            ParticleKind::RedBloodCell,
+            ParticleKind::WhiteBloodCell,
+            ParticleKind::Platelet,
+        ] {
+            // `set` refuses to build such a signature, so spell both
+            // encodings out by hand.
+            let json = format!(r#"{{"counts":{{"Bead358":3,"{}":5}}}}"#, cell.name());
+            let decoded: Result<BeadSignature, _> = JsonWire.decode(json.as_bytes());
+            assert_eq!(decoded, refused, "json {json}");
+
+            let mut w = Writer::new();
+            w.put_u32(2);
+            ParticleKind::Bead358.wire_encode(&mut w);
+            w.put_u64(3);
+            cell.wire_encode(&mut w);
+            w.put_u64(5);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                BeadSignature::wire_decode(&mut Reader::new(&bytes)),
+                refused,
+                "binary"
+            );
+        }
+        // Bead keys still decode, in both formats alike.
+        let json = br#"{"counts":{"Bead358":3,"Bead78":5}}"#;
+        assert_eq!(JsonWire.decode(json), Ok(sig(3, 5)));
+        let mut w = Writer::new();
+        sig(3, 5).wire_encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            BeadSignature::wire_decode(&mut Reader::new(&bytes)),
+            Ok(sig(3, 5))
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@ use medsen_dsp::features::match_amplitudes;
 use medsen_dsp::peaks::ThresholdDetector;
 use medsen_dsp::stats::robust_sigma;
 use medsen_impedance::SignalTrace;
-use serde::{Deserialize, Serialize};
 
 /// The analysis server configuration.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// let report = AnalysisServer::paper_default().analyze(&trace);
 /// assert_eq!(report.peak_count(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisServer {
     /// Detrending configuration (paper: segmented order 2 with overlap).
     pub detrend: DetrendConfig,

@@ -20,12 +20,11 @@ use crate::storage::{RecordId, RecordStore, StoredRecord};
 use medsen_dsp::classify::Classifier;
 use medsen_impedance::SignalTrace;
 use medsen_store::{FlushPolicy, WalStats};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::Arc;
 
 /// A client request to the cloud service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Analyze an encrypted trace; optionally authenticate and store the
     /// result under the recovered identifier.
@@ -57,7 +56,7 @@ pub enum Request {
 }
 
 /// The service's reply.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Analysis outcome (and, when requested, the auth decision and the id
     /// of the stored record).

@@ -17,8 +17,8 @@
 use crate::api::PeakReport;
 use crate::auth::BeadSignature;
 use crate::shard::{shard_index, MAX_SHARDS};
-use medsen_wire::{Reader, Wire, WireError, Writer};
-use serde::{Deserialize, Serialize};
+use medsen_wire::json::required;
+use medsen_wire::{Json, JsonReader, JsonWriter, Reader, Wire, WireError, Writer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -38,7 +38,7 @@ const SHARD_SHIFT: u32 = SEQUENCE_BITS + 8;
 /// `shard_count - 1` of the minting store, 48 bits per-shard sequence
 /// number. A single-shard store therefore mints plain sequential integers
 /// `0, 1, 2, …`, bit-identical to the pre-sharding format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordId(pub u64);
 
 impl RecordId {
@@ -82,7 +82,7 @@ impl RecordId {
 }
 
 /// One stored (still encrypted) diagnostic record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredRecord {
     /// The user the record was filed under.
     pub user_id: String,
@@ -112,6 +112,43 @@ impl Wire for StoredRecord {
             user_id: String::wire_decode(r)?,
             report: PeakReport::wire_decode(r)?,
             signature: BeadSignature::wire_decode(r)?,
+        })
+    }
+}
+
+/// The bare number, so ids above 2^53 survive.
+impl Json for RecordId {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        w.u64(self.0);
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        r.u64().map(RecordId)
+    }
+}
+
+impl Json for StoredRecord {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("user_id", &self.user_id);
+            w.field("report", &self.report);
+            w.field("signature", &self.signature);
+        });
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        let (mut user_id, mut report, mut signature) = (None, None, None);
+        r.object(|key, r| {
+            match key {
+                "user_id" => user_id = Some(String::json_decode(r)?),
+                "report" => report = Some(PeakReport::json_decode(r)?),
+                "signature" => signature = Some(BeadSignature::json_decode(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(StoredRecord {
+            user_id: required(user_id, "user_id")?,
+            report: required(report, "report")?,
+            signature: required(signature, "signature")?,
         })
     }
 }

@@ -1,12 +1,12 @@
-//! Binary wire encodings for the cross-tier message types, plus the
-//! format-dispatch helpers every transport hop shares.
+//! Binary and JSON wire encodings for the cross-tier message types, plus
+//! the format-dispatch helpers every transport hop shares.
 //!
 //! [`Request`] and [`Response`] are the two root messages of the
-//! phone↔gateway↔cloud protocol. Their [`Wire`] impls live here (orphan
-//! rules put them next to the types, not in `medsen-wire`), each under a
-//! frozen frame kind tag; the per-field encodings of the payload types
-//! (traces, reports, signatures, records) live in their owning modules
-//! and crates.
+//! phone↔gateway↔cloud protocol. Their [`Wire`] and [`Json`] impls live
+//! here (orphan rules put them next to the types, not in `medsen-wire`),
+//! the binary one under a frozen frame kind tag; the per-field encodings
+//! of the payload types (traces, reports, signatures, records) live in
+//! their owning modules and crates.
 //!
 //! The free functions at the bottom are the one place the
 //! binary-vs-JSON choice is made: every encoder/decoder in the gateway
@@ -15,11 +15,11 @@
 //! call site can hardcode a format and drift from its peer.
 
 use crate::service::{Request, Response};
-use medsen_phone::JsonWire;
+use medsen_wire::json::{required, unknown_variant};
 use medsen_wire::{
-    decode_message, decode_message_traced, encode_message, encode_message_traced, BinaryWire,
-    Reader, Wire, WireCodec, WireError, WireFormat, WireMessage, Writer, TRACED_KIND_BIT,
-    WIRE_VERSION,
+    decode_message, decode_message_traced, encode_message, encode_message_traced, BinaryWire, Json,
+    JsonReader, JsonWire, JsonWriter, Reader, Wire, WireCodec, WireError, WireFormat, WireMessage,
+    Writer, TRACED_KIND_BIT, WIRE_VERSION,
 };
 
 /// Frame kind tag for [`Request`] messages. Frozen: chosen clear of the
@@ -160,6 +160,138 @@ impl Wire for Response {
 
 impl WireMessage for Response {
     const KIND: u8 = RESPONSE_KIND;
+}
+
+impl Json for Request {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        match self {
+            Request::Analyze {
+                trace,
+                authenticate,
+            } => w.variant("Analyze", |w| {
+                w.object(|w| {
+                    w.field("trace", trace);
+                    w.field("authenticate", authenticate);
+                });
+            }),
+            Request::Enroll {
+                identifier,
+                signature,
+            } => w.variant("Enroll", |w| {
+                w.object(|w| {
+                    w.field("identifier", identifier);
+                    w.field("signature", signature);
+                });
+            }),
+            Request::Fetch { record_id } => {
+                w.variant("Fetch", |w| w.object(|w| w.field("record_id", record_id)));
+            }
+            Request::VerifyIntegrity { record_id } => w.variant("VerifyIntegrity", |w| {
+                w.object(|w| w.field("record_id", record_id));
+            }),
+            Request::Ping => w.str("Ping"),
+        }
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        r.variant(|name, payload| match (name, payload) {
+            ("Analyze", Some(r)) => {
+                let (mut trace, mut authenticate) = (None, None);
+                r.object(|key, r| {
+                    match key {
+                        "trace" => trace = Some(Json::json_decode(r)?),
+                        "authenticate" => authenticate = Some(r.bool()?),
+                        _ => r.skip()?,
+                    }
+                    Ok(())
+                })?;
+                Ok(Request::Analyze {
+                    trace: required(trace, "trace")?,
+                    authenticate: required(authenticate, "authenticate")?,
+                })
+            }
+            ("Enroll", Some(r)) => {
+                let (mut identifier, mut signature) = (None, None);
+                r.object(|key, r| {
+                    match key {
+                        "identifier" => identifier = Some(r.string()?),
+                        "signature" => signature = Some(Json::json_decode(r)?),
+                        _ => r.skip()?,
+                    }
+                    Ok(())
+                })?;
+                Ok(Request::Enroll {
+                    identifier: required(identifier, "identifier")?,
+                    signature: required(signature, "signature")?,
+                })
+            }
+            ("Fetch", Some(r)) => Ok(Request::Fetch {
+                record_id: r.one_field("record_id")?,
+            }),
+            ("VerifyIntegrity", Some(r)) => Ok(Request::VerifyIntegrity {
+                record_id: r.one_field("record_id")?,
+            }),
+            ("Ping", None) => Ok(Request::Ping),
+            (name, _) => Err(unknown_variant("request", name)),
+        })
+    }
+}
+
+impl Json for Response {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        match self {
+            Response::Analyzed {
+                report,
+                auth,
+                stored_as,
+            } => w.variant("Analyzed", |w| {
+                w.object(|w| {
+                    w.field("report", report);
+                    w.field("auth", auth);
+                    w.field("stored_as", stored_as);
+                });
+            }),
+            Response::Enrolled => w.str("Enrolled"),
+            Response::Record(record) => w.variant("Record", |w| record.json_encode(w)),
+            Response::Integrity { intact } => {
+                w.variant("Integrity", |w| w.object(|w| w.field("intact", intact)));
+            }
+            Response::Pong => w.str("Pong"),
+            Response::Error { reason } => {
+                w.variant("Error", |w| w.object(|w| w.field("reason", reason)));
+            }
+        }
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        r.variant(|name, payload| match (name, payload) {
+            ("Analyzed", Some(r)) => {
+                let (mut report, mut auth, mut stored_as) = (None, None, None);
+                r.object(|key, r| {
+                    match key {
+                        "report" => report = Some(Json::json_decode(r)?),
+                        "auth" => auth = Some(Json::json_decode(r)?),
+                        "stored_as" => stored_as = Some(Json::json_decode(r)?),
+                        _ => r.skip()?,
+                    }
+                    Ok(())
+                })?;
+                Ok(Response::Analyzed {
+                    report: required(report, "report")?,
+                    auth: required(auth, "auth")?,
+                    stored_as: required(stored_as, "stored_as")?,
+                })
+            }
+            ("Enrolled", None) => Ok(Response::Enrolled),
+            ("Record", Some(r)) => Ok(Response::Record(Json::json_decode(r)?)),
+            ("Integrity", Some(r)) => Ok(Response::Integrity {
+                intact: r.one_field("intact")?,
+            }),
+            ("Pong", None) => Ok(Response::Pong),
+            ("Error", Some(r)) => Ok(Response::Error {
+                reason: r.one_field("reason")?,
+            }),
+            (name, _) => Err(unknown_variant("response", name)),
+        })
+    }
 }
 
 /// Encodes a [`Request`] body in the selected format.

@@ -7,10 +7,9 @@
 //! progression".
 
 use medsen_units::{Concentration, Microliters};
-use serde::{Deserialize, Serialize};
 
 /// A diagnostic verdict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
     /// The biomarker concentration is within the healthy band.
     Normal,
@@ -34,7 +33,7 @@ impl Verdict {
 ///
 /// Thresholds are *lower bounds of the healthy direction*: a measurement
 /// below `thresholds[i].0` lands in stage `i + 1`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiagnosticRule {
     /// What is being measured.
     pub marker: String,

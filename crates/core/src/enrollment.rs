@@ -12,7 +12,6 @@
 use crate::password::{CytoPassword, PasswordAlphabet};
 use medsen_cloud::AuthService;
 use medsen_units::Microliters;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How widely one identifier is reused (Sec. V): "It can be associated
@@ -20,7 +19,7 @@ use std::collections::BTreeMap;
 /// several diagnostics (multiple pipettes carrying the same identifier) or
 /// the entire set of diagnostics from a specific user ... depending on the
 /// diagnostic privacy requirements."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdentifierScope {
     /// Every pipette of the user embeds the same identifier — convenient,
     /// but the cloud can link all of the user's diagnostics.
@@ -35,7 +34,7 @@ pub enum IdentifierScope {
 /// A scoped provisioning result: the pipettes' identifiers plus the
 /// anonymous aliases the cloud will know them by. Only the registry holds
 /// the alias → user mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScopedProvision {
     /// The owning user (private to the registry).
     pub user_id: String,
@@ -48,7 +47,7 @@ pub struct ScopedProvision {
 }
 
 /// A manufactured batch of pipettes all embedding one user's identifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipetteBatch {
     /// The owning user.
     pub user_id: String,

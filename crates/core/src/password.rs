@@ -15,7 +15,6 @@
 
 use medsen_microfluidics::{BeadDose, ParticleKind};
 use medsen_units::{Concentration, Microliters};
-use serde::{Deserialize, Serialize};
 
 /// Errors in password construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,7 +125,7 @@ use medsen_wire::crc32;
 
 /// The password alphabet: which bead types exist and how concentration
 /// levels map to physical doses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PasswordAlphabet {
     /// The bead types, in symbol order.
     bead_types: Vec<ParticleKind>,
@@ -290,7 +289,7 @@ impl Default for PasswordAlphabet {
 /// assert_eq!(password.to_doses(&alphabet).len(), 2);
 /// # Ok::<(), medsen_core::PasswordError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CytoPassword {
     levels: Vec<u8>,
 }

@@ -17,18 +17,17 @@ use medsen_microfluidics::{
 };
 use medsen_phone::profile::DeviceProfile;
 use medsen_phone::{
-    compress, from_json, to_json, trace_from_csv, trace_to_csv, CompressionStats, Frame,
-    MessageType, NetworkLink,
+    compress, trace_from_csv, trace_to_csv, CompressionStats, Frame, MessageType, NetworkLink,
 };
 use medsen_sensor::{Controller, ControllerConfig, EncryptedAcquisition};
 use medsen_units::{Microliters, Seconds};
-use serde::{Deserialize, Serialize};
+use medsen_wire::{JsonWire, WireCodec};
 use std::time::Instant;
 
 /// Whether a session runs the cipher (diagnosis) or the encryption-off
 /// authentication path (Sec. V: "the bead sample is fed to MedSen's
 /// bio-sensor with the bio-sensor level encryption turned off").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionMode {
     /// Encrypted acquisition; the controller decrypts the returned count.
     EncryptedDiagnosis,
@@ -77,7 +76,7 @@ impl PipelineConfig {
 
 /// Post-acquisition timing breakdown (the paper's ≈ 0.2 s claim covers the
 /// signal-processing path, not the fluidics).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingBreakdown {
     /// Acquisition (fluidics) window — excluded from the end-to-end figure.
     pub acquisition_s: f64,
@@ -101,7 +100,7 @@ impl TimingBreakdown {
 }
 
 /// Everything one session produces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Session mode.
     pub mode: SessionMode,
@@ -307,14 +306,16 @@ impl Pipeline {
         // The result travels back as a JSON body in an AnalysisResult frame
         // (cloud → phone → sensor), so the return path is as concrete as the
         // uplink.
-        let result_json = to_json(&report).expect("peak reports are JSON-safe");
-        let result_frame = Frame::new(MessageType::AnalysisResult, result_json.into_bytes());
+        let result_json = JsonWire
+            .encode(&report)
+            .expect("peak reports are JSON-safe");
+        let result_frame = Frame::new(MessageType::AnalysisResult, result_json);
         let wire = result_frame.encode();
         let download_s = self.link.transfer_time(wire.len()).value();
         let (received_frame, _) = Frame::decode(&wire).expect("frame round-trips");
-        let report: medsen_cloud::PeakReport =
-            from_json(std::str::from_utf8(&received_frame.payload).expect("JSON is UTF-8"))
-                .expect("phone-encoded report parses");
+        let report: medsen_cloud::PeakReport = JsonWire
+            .decode(&received_frame.payload)
+            .expect("phone-encoded report parses");
 
         // 6. Mode-specific tail: decrypt + diagnose, or authenticate.
         let mut decoded_total = None;

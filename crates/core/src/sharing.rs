@@ -24,11 +24,10 @@ use medsen_sensor::{Controller, DecryptedCount, KeySchedule, ReportedPeak};
 use medsen_units::Seconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The decryption capability: everything a practitioner needs to decrypt
 /// counts, and nothing more.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecryptionCapability {
     /// Key rotation period (seconds); 0 encodes a static schedule.
     pub period_s: f64,
@@ -119,7 +118,7 @@ impl core::fmt::Display for SealError {
 impl std::error::Error for SealError {}
 
 /// An authenticated, encrypted capability envelope.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedCapability {
     bytes: Vec<u8>,
 }

@@ -7,10 +7,9 @@
 //! prototype would use.
 
 use crate::features::FeatureVector;
-use serde::{Deserialize, Serialize};
 
 /// Per-class feature statistics (diagonal covariance).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassStats {
     /// Class label.
     pub label: String,
@@ -80,7 +79,7 @@ impl core::fmt::Display for ClassifyError {
 impl std::error::Error for ClassifyError {}
 
 /// A trained nearest-centroid classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Classifier {
     classes: Vec<ClassStats>,
     dims: usize,
@@ -208,7 +207,7 @@ impl Classifier {
 }
 
 /// A confusion matrix: `counts[true][predicted]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfusionMatrix {
     /// Class labels in matrix order.
     pub labels: Vec<String>,

@@ -16,7 +16,6 @@
 //! positive inside particle dips.
 
 use crate::polyfit::{polyfit, polyfit_weighted, Polynomial};
-use serde::{Deserialize, Serialize};
 
 /// Robust two-pass fit: an initial fit, then a refit with samples that dip
 /// more than 3 robust σ below the baseline masked out, so particle dips do
@@ -48,7 +47,7 @@ fn robust_fit(ys: &[f64], order: usize) -> Polynomial {
 }
 
 /// Configuration for segmented detrending.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetrendConfig {
     /// Polynomial order per segment (paper: 2).
     pub order: usize,

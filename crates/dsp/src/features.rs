@@ -7,10 +7,9 @@
 //! channel, measured in a small window around the peak's timestamp.
 
 use crate::peaks::Peak;
-use serde::{Deserialize, Serialize};
 
 /// One peak's amplitudes across all carrier channels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureVector {
     /// Sample index of the peak (on the reference channel).
     pub index: usize,

@@ -14,7 +14,6 @@
 //! * [`features`] — per-carrier amplitude feature vectors;
 //! * [`classify`] — Gaussian nearest-centroid classifier;
 //! * [`stats`] — means, variances, robust σ, linear regression, histograms;
-//! * [`filter`] — moving-average and median smoothing;
 //! * [`streaming`] — constant-memory chunked analysis for the paper's
 //!   3-hour/600 MB stress regime.
 //!
@@ -40,7 +39,6 @@
 pub mod classify;
 pub mod detrend;
 pub mod features;
-pub mod filter;
 pub mod peaks;
 pub mod polyfit;
 pub mod stats;

@@ -6,10 +6,8 @@
 //! its amplitude (maximum depth), width, and timestamp — the three
 //! characteristics the cipher deliberately randomizes.
 
-use serde::{Deserialize, Serialize};
-
 /// One detected peak in the depth signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Peak {
     /// Sample index of the maximum depth.
     pub index: usize,
@@ -24,7 +22,7 @@ pub struct Peak {
 }
 
 /// Threshold-based peak detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdDetector {
     /// Minimum depth a sample must exceed to be inside a peak.
     pub threshold: f64,

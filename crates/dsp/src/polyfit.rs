@@ -5,13 +5,11 @@
 //! `[-1, 1]` to keep the Vandermonde system well-conditioned even for long
 //! windows, then solved with Gaussian elimination and partial pivoting.
 
-use serde::{Deserialize, Serialize};
-
 /// A polynomial in the *normalized* coordinate of the fit window.
 ///
 /// Callers evaluate it through [`Polynomial::eval_at_index`], which applies
 /// the same index → `[-1, 1]` mapping used during fitting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polynomial {
     /// Coefficients, lowest order first, in normalized coordinates.
     coeffs: Vec<f64>,

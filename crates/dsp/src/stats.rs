@@ -1,7 +1,5 @@
 //! Elementary statistics used across the analysis pipeline and benches.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean (0.0 for an empty slice).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -71,7 +69,7 @@ pub fn robust_sigma(xs: &[f64]) -> f64 {
 }
 
 /// Result of an ordinary least-squares straight-line fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Slope of the fitted line.
     pub slope: f64,

@@ -1408,8 +1408,12 @@ mod tests {
     use medsen_cloud::service::Request;
 
     fn ping_upload(session: u64) -> Vec<u8> {
-        let json = medsen_phone::to_json(&Request::Ping).expect("encodes");
-        wire::encode_upload(session, &json)
+        json_upload(session, &Request::Ping)
+    }
+
+    fn json_upload(session: u64, request: &Request) -> Vec<u8> {
+        let body = medsen_cloud::wire::encode_request(WireFormat::Json, request).expect("encodes");
+        wire::encode_upload_wire(session, WireFormat::Json, &body)
     }
 
     fn ping_upload_binary(session: u64) -> Vec<u8> {
@@ -1790,12 +1794,14 @@ mod tests {
                 shed_policy: ShedPolicy::Block,
             },
         );
-        let json = medsen_phone::to_json(&Request::Enroll {
-            identifier: "alice".into(),
-            signature: BeadSignature::from_counts(&[(ParticleKind::Bead358, 40)]),
-        })
-        .expect("encodes");
-        let reply = gw.submit(wire::encode_upload(1, &json)).expect("accepted");
+        let upload = json_upload(
+            1,
+            &Request::Enroll {
+                identifier: "alice".into(),
+                signature: BeadSignature::from_counts(&[(ParticleKind::Bead358, 40)]),
+            },
+        );
+        let reply = gw.submit(upload).expect("accepted");
         assert_eq!(reply.wait().expect("served"), Response::Enrolled);
         gw.drain();
         let m = gw.metrics();
@@ -2034,15 +2040,17 @@ mod tests {
             RuntimeKind::Async,
             TelemetryConfig::default(),
         );
-        let json = medsen_phone::to_json(&Request::Enroll {
-            identifier: "alice".into(),
-            signature: medsen_cloud::BeadSignature::from_counts(&[(
-                medsen_microfluidics::ParticleKind::Bead358,
-                40,
-            )]),
-        })
-        .expect("encodes");
-        let reply = gw.submit(wire::encode_upload(1, &json)).expect("accepted");
+        let upload = json_upload(
+            1,
+            &Request::Enroll {
+                identifier: "alice".into(),
+                signature: medsen_cloud::BeadSignature::from_counts(&[(
+                    medsen_microfluidics::ParticleKind::Bead358,
+                    40,
+                )]),
+            },
+        );
+        let reply = gw.submit(upload).expect("accepted");
         assert_eq!(reply.wait().expect("served"), Response::Enrolled);
 
         pair.kill_primary();
@@ -2238,6 +2246,38 @@ mod tests {
         assert!(completed);
         let m = gw.shutdown();
         assert_eq!(m.accepted, 1, "stragglers must not re-enqueue");
+    }
+
+    /// A one-symbol stream whose block declares an absurd decompressed
+    /// length once aborted the process on the allocation (1 TiB) or
+    /// panicked the ingesting thread (`u64::MAX`). Both are now a corrupt
+    /// upload, and the gateway goes on serving.
+    #[test]
+    fn forged_decompressed_lengths_are_corrupt_uploads() {
+        let gw = Gateway::new(
+            CloudService::new(),
+            GatewayConfig {
+                queue_capacity: 4,
+                workers: 1,
+                shed_policy: ShedPolicy::Block,
+            },
+        );
+        for (session, declared) in [(31u64, 1u64 << 40), (32, u64::MAX)] {
+            let mut block = declared.to_be_bytes().to_vec();
+            block.extend_from_slice(&[0x41; 8]);
+            let mut encoder = medsen_fountain::Encoder::new(session, 0x5EED, &block, block.len())
+                .expect("encoder");
+            match gw.ingest_symbol(&encoder.symbol_bytes(0)) {
+                Err(SymbolSubmitError::CorruptUpload { session_id, detail }) => {
+                    assert_eq!(session_id, session);
+                    assert!(detail.contains("decompress"), "{detail}");
+                }
+                other => panic!("declared {declared}: unexpected {other:?}"),
+            }
+        }
+        let reply = gw.submit(ping_upload(33)).expect("accepted");
+        assert_eq!(reply.wait().expect("served"), Response::Pong);
+        gw.shutdown();
     }
 
     /// Frame-level garbage is typed and counted, and a drained gateway

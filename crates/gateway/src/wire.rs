@@ -166,13 +166,19 @@ pub fn encode_upload_traced(
     } else {
         &header[..]
     };
-    let frames = 1 + body.len().div_ceil(CHUNK_SIZE);
-    let mut out = Vec::with_capacity(frames * FRAME_OVERHEAD + header.len() + body.len());
+    let mut out = Vec::with_capacity(upload_len(header.len(), body.len()));
     write_frame(MessageType::StartTest, header, &mut out);
     for chunk in body.chunks(CHUNK_SIZE) {
         write_frame(MessageType::DataChunk, chunk, &mut out);
     }
     out
+}
+
+/// The bytes of a framed upload: the header frame, then the body in
+/// [`CHUNK_SIZE`] data frames.
+fn upload_len(header_len: usize, body_len: usize) -> usize {
+    let frames = 1 + body_len.div_ceil(CHUNK_SIZE);
+    frames * FRAME_OVERHEAD + header_len + body_len
 }
 
 /// Encodes one JSON request body as a framed upload for `session_id`.
@@ -263,7 +269,9 @@ pub fn decode_upload_traced(wire: &[u8]) -> Result<(u64, WireFormat, Vec<u8>, u6
     if declared > MAX_BODY_BYTES {
         return Err(UploadError::BodyTooLarge { declared });
     }
-    let mut body = Vec::with_capacity(declared);
+    // The header's length is the sender's word: reserve no more than the
+    // frames that follow could carry.
+    let mut body = Vec::with_capacity(declared.min(wire.len() - offset));
     while body.len() < declared {
         if offset >= wire.len() {
             return Err(UploadError::ShortBody {
@@ -343,6 +351,18 @@ mod tests {
                 assert_eq!((decoded, got_trace), (body.clone(), trace));
             }
         }
+    }
+
+    #[test]
+    fn the_largest_legal_upload_decompresses_under_the_phone_limit() {
+        // A one-way block carries a whole framed upload, so the phone's
+        // decompression limit must admit the largest one the header can
+        // declare legally.
+        let largest = upload_len(TRACED_HEADER_BYTES, MAX_BODY_BYTES);
+        assert!(
+            largest as u64 <= medsen_phone::compress::MAX_DECOMPRESSED_BYTES,
+            "{largest} bytes"
+        );
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! operates its carriers at 500 kHz and above.
 
 use medsen_units::{Farads, Hertz, Micrometers, Ohms};
-use serde::{Deserialize, Serialize};
 
 /// Which circuit element dominates the measured impedance at a frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Regime {
     /// Reactance of the double layer dominates (low frequency, MΩ scale).
     CapacitanceDominated,
@@ -23,7 +22,7 @@ pub enum Regime {
 }
 
 /// Series R–C model of one electrode pair bridged by electrolyte.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElectrodeCircuit {
     /// Ionic resistance of the fluid between the electrodes.
     pub solution_resistance: Ohms,

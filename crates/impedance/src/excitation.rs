@@ -7,10 +7,9 @@
 //! set to have cut off frequency at 120 Hz."
 
 use medsen_units::{Hertz, Volts};
-use serde::{Deserialize, Serialize};
 
 /// The excitation and acquisition settings of the impedance spectroscope.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExcitationConfig {
     carriers: Vec<Hertz>,
     /// Excitation amplitude per carrier.

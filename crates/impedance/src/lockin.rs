@@ -9,10 +9,9 @@
 //! operation, used in tests to validate the baseband shortcut.
 
 use medsen_units::Hertz;
-use serde::{Deserialize, Serialize};
 
 /// A single-carrier lock-in channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LockInAmplifier {
     /// Low-pass cut-off of the output filter (paper: 120 Hz).
     pub cutoff: Hertz,

@@ -9,10 +9,9 @@
 
 use medsen_units::Seconds;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// White measurement noise at the lock-in output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// 1 σ of additive white noise, in normalized-amplitude units.
     pub sigma: f64,
@@ -51,7 +50,7 @@ impl Default for NoiseModel {
 /// The quadratic term models temperature drift; the sinusoid models slow
 /// concentration cycling. Parameters are per-run constants (drawn once by
 /// the synthesiser) so the drift is smooth, as in real acquisitions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineDrift {
     /// Linear slope per second (normalized units).
     pub linear: f64,

@@ -8,10 +8,9 @@
 //! dip (Sec. III-B, Fig. 5).
 
 use medsen_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Whether a pulse is a single dip or the double-dip signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Polarity {
     /// Single dip — the lead electrode's response.
     Single,
@@ -24,7 +23,7 @@ pub enum Polarity {
 /// Amplitudes are fractions of the baseline: `depth = 0.004` means the
 /// normalized signal dips to 0.996 at the pulse centre, matching the scale of
 /// Fig. 15's normalized plots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PulseSpec {
     /// Pulse centre time.
     pub center: Seconds,

@@ -16,7 +16,6 @@ use crate::trace::{Channel, SignalComponent, SignalTrace};
 use medsen_units::{Hertz, Seconds};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A pulse with an explicit per-channel gain vector.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// and the cipher (the random electrode gains `G(t)`) reach the signal. In
 /// phase-sensitive (I/Q) mode, `quadrature_gains[i]` sets the dip depth on
 /// carrier `i`'s quadrature channel (zero for phase-neutral particles).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiChannelPulse {
     /// The base pulse geometry and reference depth.
     pub spec: PulseSpec,
@@ -33,7 +32,6 @@ pub struct MultiChannelPulse {
     pub channel_gains: Vec<f64>,
     /// Per-carrier quadrature multipliers (only used in I/Q mode; when
     /// empty, quadrature channels see no dip from this pulse).
-    #[serde(default)]
     pub quadrature_gains: Vec<f64>,
 }
 

@@ -6,13 +6,13 @@
 //! normalized amplitudes: baseline ≈ 1.0, with particles producing dips.
 
 use medsen_units::{Hertz, Seconds};
-use medsen_wire::{Reader, Wire, WireError, Writer};
-use serde::{Deserialize, Serialize};
+use medsen_wire::json::{required, unknown_variant};
+use medsen_wire::{Json, JsonReader, JsonWriter, Reader, Wire, WireError, Writer};
 
 /// Which lock-in output a channel carries. The single-channel (magnitude)
 /// acquisition of the prototype uses only [`SignalComponent::InPhase`];
 /// phase-sensitive acquisitions add one quadrature channel per carrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SignalComponent {
     /// The in-phase (X, or magnitude R in single-output mode) component.
     #[default]
@@ -32,14 +32,13 @@ impl SignalComponent {
 }
 
 /// One demodulated carrier channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     /// The carrier frequency this channel was demodulated at.
     pub carrier: Hertz,
     /// Normalized samples (baseline ≈ 1.0).
     pub samples: Vec<f64>,
     /// Which lock-in output this channel carries.
-    #[serde(default)]
     pub component: SignalComponent,
 }
 
@@ -73,35 +72,11 @@ impl Channel {
 }
 
 /// A complete multi-channel acquisition.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignalTrace {
     /// Output sampling rate (paper: 450 Hz).
     pub sample_rate: Hertz,
     channels: Vec<Channel>,
-}
-
-/// A trace as JSON spells it, before [`SignalTrace::validate`] has run.
-#[derive(Deserialize)]
-struct UncheckedTrace {
-    sample_rate: Hertz,
-    channels: Vec<Channel>,
-}
-
-impl<'de> Deserialize<'de> for SignalTrace {
-    fn deserialize<D>(deserializer: D) -> Result<Self, D::Error>
-    where
-        D: serde::Deserializer<'de>,
-    {
-        let UncheckedTrace {
-            sample_rate,
-            channels,
-        } = UncheckedTrace::deserialize(deserializer)?;
-        SignalTrace::validate(sample_rate, &channels).map_err(serde::de::Error::custom)?;
-        Ok(SignalTrace {
-            sample_rate,
-            channels,
-        })
-    }
 }
 
 impl SignalTrace {
@@ -131,27 +106,30 @@ impl SignalTrace {
     /// unequal length (the constructor would panic), a sample rate that
     /// is not finite and positive, or a carrier or sample that is not
     /// finite. Binary and JSON both decode through this one check, so
-    /// they refuse exactly the same traces.
-    fn validate(sample_rate: Hertz, channels: &[Channel]) -> Result<(), &'static str> {
+    /// they refuse exactly the same traces with the same
+    /// [`WireError::Invalid`].
+    fn validate(sample_rate: Hertz, channels: &[Channel]) -> Result<(), WireError> {
         if !(sample_rate.value().is_finite() && sample_rate.value() > 0.0) {
-            return Err("trace sample rate is not finite and positive");
+            return Err(WireError::Invalid(
+                "trace sample rate is not finite and positive",
+            ));
         }
         if let Some(first) = channels.first() {
             if channels
                 .iter()
                 .any(|c| c.samples.len() != first.samples.len())
             {
-                return Err("trace channels have unequal lengths");
+                return Err(WireError::Invalid("trace channels have unequal lengths"));
             }
         }
         if channels.iter().any(|c| !c.carrier.value().is_finite()) {
-            return Err("trace carrier is not finite");
+            return Err(WireError::Invalid("trace carrier is not finite"));
         }
         if channels
             .iter()
             .any(|c| c.samples.iter().any(|x| !x.is_finite()))
         {
-            return Err("trace sample is not finite");
+            return Err(WireError::Invalid("trace sample is not finite"));
         }
         Ok(())
     }
@@ -293,7 +271,79 @@ impl Wire for SignalTrace {
     fn wire_decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let sample_rate = Hertz::new(r.get_f64()?);
         let channels = Vec::<Channel>::wire_decode(r)?;
-        SignalTrace::validate(sample_rate, &channels).map_err(WireError::Invalid)?;
+        SignalTrace::validate(sample_rate, &channels)?;
+        Ok(SignalTrace {
+            sample_rate,
+            channels,
+        })
+    }
+}
+
+impl Json for SignalComponent {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        w.str(match self {
+            SignalComponent::InPhase => "InPhase",
+            SignalComponent::Quadrature => "Quadrature",
+        });
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        r.variant(|name, payload| match (name, payload) {
+            ("InPhase", None) => Ok(SignalComponent::InPhase),
+            ("Quadrature", None) => Ok(SignalComponent::Quadrature),
+            (name, _) => Err(unknown_variant("signal component", name)),
+        })
+    }
+}
+
+/// `{"carrier":Hz,"samples":[..],"component":..}`; a missing `component`
+/// reads as [`SignalComponent::InPhase`].
+impl Json for Channel {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("carrier", &self.carrier.value());
+            w.field("samples", &self.samples);
+            w.field("component", &self.component);
+        });
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        let (mut carrier, mut samples, mut component) = (None, None, None);
+        r.object(|key, r| {
+            match key {
+                "carrier" => carrier = Some(Hertz::new(r.f64()?)),
+                "samples" => samples = Some(Vec::json_decode(r)?),
+                "component" => component = Some(SignalComponent::json_decode(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(Channel {
+            carrier: required(carrier, "carrier")?,
+            samples: required(samples, "samples")?,
+            component: component.unwrap_or_default(),
+        })
+    }
+}
+
+impl Json for SignalTrace {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("sample_rate", &self.sample_rate.value());
+            w.field("channels", &self.channels);
+        });
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        let (mut sample_rate, mut channels) = (None, None);
+        r.object(|key, r| {
+            match key {
+                "sample_rate" => sample_rate = Some(Hertz::new(r.f64()?)),
+                "channels" => channels = Some(Vec::<Channel>::json_decode(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let sample_rate = required(sample_rate, "sample_rate")?;
+        let channels = required(channels, "channels")?;
+        SignalTrace::validate(sample_rate, &channels)?;
         Ok(SignalTrace {
             sample_rate,
             channels,
@@ -405,6 +455,18 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    fn json_round_trip_preserves_the_trace_and_defaults_the_component() {
+        use medsen_wire::{JsonWire, WireCodec};
+        let t = trace(8);
+        let bytes = JsonWire.encode(&t).expect("encodes");
+        assert_eq!(JsonWire.decode(&bytes), Ok(t));
+        let json = br#"{"channels":[{"samples":[1,0.5],"carrier":5e5}],"sample_rate":450}"#;
+        let decoded: SignalTrace = JsonWire.decode(json).expect("decodes");
+        assert_eq!(decoded.channels()[0].component, SignalComponent::InPhase);
+        assert_eq!(decoded.channels()[0].samples, vec![1.0, 0.5]);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! pitch, so one electrode pair spans 45 µm of travel.
 
 use medsen_units::{Microliters, Micrometers};
-use serde::{Deserialize, Serialize};
 
 /// Errors raised when constructing an invalid channel geometry.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +40,7 @@ impl core::fmt::Display for GeometryError {
 impl std::error::Error for GeometryError {}
 
 /// The microfluidic channel's physical dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelGeometry {
     /// Measurement-pore width (paper: 30 µm).
     pub pore_width: Micrometers,

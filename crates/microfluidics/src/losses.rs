@@ -9,10 +9,9 @@
 
 use crate::particle::ParticleKind;
 use medsen_units::{Micrometers, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Expected delivery statistics for one species over one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeliveryReport {
     /// Particles nominally present per the manufacturer concentration.
     pub estimated: f64,
@@ -36,7 +35,7 @@ impl DeliveryReport {
 }
 
 /// Sedimentation + adsorption loss model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossModel {
     /// Depth of the inlet well particles must stay suspended in.
     pub well_depth: Micrometers,

@@ -9,10 +9,9 @@
 use crate::particle::ParticleKind;
 use crate::sample::SampleSpec;
 use medsen_units::Concentration;
-use serde::{Deserialize, Serialize};
 
 /// A dose of one bead type, expressed as a concentration in the final sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeadDose {
     /// The synthetic bead species.
     pub kind: ParticleKind,

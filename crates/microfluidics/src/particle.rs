@@ -7,11 +7,11 @@
 //! cells produce roughly 2× its amplitude and 7.8 µm beads roughly 4×.
 
 use medsen_units::Micrometers;
-use medsen_wire::{Reader, Wire, WireError, Writer};
-use serde::{Deserialize, Serialize};
+use medsen_wire::json::unknown_variant;
+use medsen_wire::{Json, JsonReader, JsonWriter, Reader, Wire, WireError, Writer};
 
 /// Coarse particle classes used by server-side classification (Fig. 16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParticleClass {
     /// A biological cell from the blood sample.
     Cell,
@@ -20,7 +20,7 @@ pub enum ParticleClass {
 }
 
 /// Every particle species the simulated channel can carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ParticleKind {
     /// 3.58 µm MicroChem synthetic bead — the paper's amplitude reference.
     Bead358,
@@ -169,6 +169,23 @@ impl ParticleKind {
             ParticleKind::Platelet => "platelet",
         }
     }
+
+    /// The variant name, which is how JSON spells the kind (a bead
+    /// signature's counts are keyed by it).
+    pub fn name(self) -> &'static str {
+        match self {
+            ParticleKind::Bead358 => "Bead358",
+            ParticleKind::Bead78 => "Bead78",
+            ParticleKind::RedBloodCell => "RedBloodCell",
+            ParticleKind::WhiteBloodCell => "WhiteBloodCell",
+            ParticleKind::Platelet => "Platelet",
+        }
+    }
+
+    /// The kind whose [`ParticleKind::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|kind| kind.name() == name)
+    }
 }
 
 impl core::fmt::Display for ParticleKind {
@@ -204,8 +221,22 @@ impl Wire for ParticleKind {
     }
 }
 
+impl Json for ParticleKind {
+    fn json_encode(&self, w: &mut JsonWriter) {
+        w.str(self.name());
+    }
+    fn json_decode(r: &mut JsonReader<'_>) -> Result<Self, WireError> {
+        r.variant(
+            |name, payload| match (ParticleKind::from_name(name), payload) {
+                (Some(kind), None) => Ok(kind),
+                _ => Err(unknown_variant("particle kind", name)),
+            },
+        )
+    }
+}
+
 /// One concrete particle instance flowing through the channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Particle {
     /// The species.
     pub kind: ParticleKind,
@@ -248,6 +279,23 @@ mod tests {
         }
         let mut r = Reader::new(&[5]);
         assert!(ParticleKind::wire_decode(&mut r).is_err());
+    }
+
+    #[test]
+    fn json_spells_each_kind_by_its_variant_name() {
+        for kind in ParticleKind::ALL {
+            let bytes =
+                medsen_wire::WireCodec::encode(&medsen_wire::JsonWire, &kind).expect("encodes");
+            assert_eq!(bytes, format!("\"{}\"", kind.name()).into_bytes());
+            let back: ParticleKind =
+                medsen_wire::WireCodec::decode(&medsen_wire::JsonWire, &bytes).expect("decodes");
+            assert_eq!(back, kind);
+        }
+        for bad in [&br#""Bead""#[..], br#"{"Bead358":1}"#, b"2"] {
+            let decoded: Result<ParticleKind, _> =
+                medsen_wire::WireCodec::decode(&medsen_wire::JsonWire, bad);
+            assert!(matches!(decoded, Err(WireError::Codec(_))), "{decoded:?}");
+        }
     }
 
     #[test]

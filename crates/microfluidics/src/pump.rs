@@ -6,10 +6,9 @@
 //! eavesdropper cannot use width as a stable per-cell signature (Sec. IV-A).
 
 use medsen_units::{FlowRate, Micrometers, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// One constant-speed segment of a flow schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSegment {
     /// Segment start time.
     pub start: Seconds,
@@ -20,7 +19,7 @@ pub struct FlowSegment {
 /// A piecewise-constant pump schedule.
 ///
 /// The schedule always has at least one segment starting at t = 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowProfile {
     segments: Vec<FlowSegment>,
 }
@@ -96,7 +95,7 @@ impl FlowProfile {
 }
 
 /// The bench pump plus the channel it drives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeristalticPump {
     profile: FlowProfile,
     /// Relative pump pulsation (1 σ of instantaneous rate around set-point).

@@ -6,10 +6,9 @@
 
 use crate::particle::ParticleKind;
 use medsen_units::{Concentration, Microliters};
-use serde::{Deserialize, Serialize};
 
 /// One species at one concentration inside a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleComponent {
     /// The particle species.
     pub kind: ParticleKind,
@@ -18,7 +17,7 @@ pub struct SampleComponent {
 }
 
 /// A fully specified pipette load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleSpec {
     /// Total liquid volume.
     pub volume: Microliters,

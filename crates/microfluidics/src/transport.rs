@@ -19,10 +19,9 @@ use crate::stochastic::{sample_exponential, sample_normal};
 use medsen_units::{Micrometers, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One particle crossing the sensing region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransitEvent {
     /// Arrival time at the first electrode.
     pub time: Seconds,
@@ -40,7 +39,7 @@ impl TransitEvent {
 }
 
 /// Coincidence statistics over a simulated run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CoincidenceStats {
     /// Total transits.
     pub total: usize,

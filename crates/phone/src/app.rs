@@ -6,10 +6,8 @@
 //! the analysis outcomes and forwards them to MedSen device" (Sec. VI-D).
 //! The app never sees plaintext: it shuttles ciphertext and progress ticks.
 
-use serde::{Deserialize, Serialize};
-
 /// App lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppState {
     /// No accessory attached.
     Disconnected,
@@ -28,7 +26,7 @@ pub enum AppState {
 }
 
 /// Events driving the state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppEvent {
     /// USB accessory detected and handshake finished.
     AccessoryAttached,
@@ -49,7 +47,7 @@ pub enum AppEvent {
 }
 
 /// The phone app.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhoneApp {
     state: AppState,
     /// Latest progress percentage shown to the user.

@@ -9,7 +9,6 @@
 //! Wire format: a stream of 12-bit codes packed big-endian into bytes,
 //! preceded by the 8-byte original length.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 const MAX_CODE_BITS: u32 = 12;
@@ -17,8 +16,14 @@ const MAX_DICT: usize = 1 << MAX_CODE_BITS; // 4096
 const RESET_CODE: u16 = 256; // emitted when the dictionary resets
 const FIRST_FREE: u16 = 257;
 
+/// The longest output [`decompress`] will produce: 65 MiB, room for the
+/// largest framed upload the gateway accepts (a 64 MiB body plus its
+/// chunk framing). A stream declaring more is refused before anything is
+/// allocated, since the length is read from the stream itself.
+pub const MAX_DECOMPRESSED_BYTES: u64 = 65 << 20;
+
 /// Compression statistics for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionStats {
     /// Uncompressed size in bytes.
     pub raw_bytes: usize,
@@ -171,6 +176,11 @@ pub enum DecompressError {
         /// Length actually decoded.
         decoded: u64,
     },
+    /// The header declared more than [`MAX_DECOMPRESSED_BYTES`].
+    TooLarge {
+        /// Length declared in the header.
+        declared: u64,
+    },
 }
 
 impl core::fmt::Display for DecompressError {
@@ -181,6 +191,10 @@ impl core::fmt::Display for DecompressError {
             DecompressError::LengthMismatch { declared, decoded } => {
                 write!(f, "declared {declared} bytes but decoded {decoded}")
             }
+            DecompressError::TooLarge { declared } => write!(
+                f,
+                "declared {declared} bytes exceeds the {MAX_DECOMPRESSED_BYTES}-byte limit"
+            ),
         }
     }
 }
@@ -197,6 +211,9 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecompressError> {
         return Err(DecompressError::Truncated);
     }
     let declared = u64::from_be_bytes(data[..8].try_into().expect("8 bytes"));
+    if declared > MAX_DECOMPRESSED_BYTES {
+        return Err(DecompressError::TooLarge { declared });
+    }
     let mut out: Vec<u8> = Vec::with_capacity(declared as usize);
     let mut reader = BitReader::new(&data[8..]);
 
@@ -332,6 +349,24 @@ mod tests {
             err,
             DecompressError::Truncated | DecompressError::LengthMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn forged_lengths_are_refused_before_allocating() {
+        // 1 TiB once aborted the process on the allocation, and u64::MAX
+        // panicked with "capacity overflow".
+        for declared in [MAX_DECOMPRESSED_BYTES + 1, 1 << 40, u64::MAX] {
+            let mut forged = declared.to_be_bytes().to_vec();
+            forged.extend_from_slice(&[0x41; 8]);
+            assert_eq!(
+                decompress(&forged),
+                Err(DecompressError::TooLarge { declared })
+            );
+        }
+        // At the limit the length is legal; the stream is just short.
+        let mut short = compress(b"abc");
+        short[..8].copy_from_slice(&MAX_DECOMPRESSED_BYTES.to_be_bytes());
+        assert_eq!(decompress(&short), Err(DecompressError::Truncated));
     }
 
     #[test]

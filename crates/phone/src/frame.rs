@@ -7,10 +7,8 @@
 //! corruption; the message-type byte carries the AOAP handshake plus the
 //! MedSen data channel.
 
-use serde::{Deserialize, Serialize};
-
 /// Message types on the accessory link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum MessageType {
     /// AOAP: protocol-version query.

@@ -11,8 +11,6 @@
 //!   results);
 //! * [`csv`] — the CSV serialization the prototype captures traces in;
 //! * [`mod@compress`] — a from-scratch LZW codec standing in for zip;
-//! * [`json`] — a from-scratch JSON codec (serde backend) for the
-//!   phone↔cloud request/response bodies;
 //! * [`network`] — 4G/USB link timing models;
 //! * [`oneway`] — ACK-free fountain-coded uploads for RF-restricted
 //!   clinics (compress → rateless symbol stream, no back-channel);
@@ -22,7 +20,6 @@ pub mod app;
 pub mod compress;
 pub mod csv;
 pub mod frame;
-pub mod json;
 pub mod network;
 pub mod oneway;
 pub mod profile;
@@ -31,7 +28,6 @@ pub use app::{AppEvent, AppState, PhoneApp};
 pub use compress::{compress, decompress, CompressionStats};
 pub use csv::{trace_from_csv, trace_to_csv};
 pub use frame::{Frame, FrameError, MessageType};
-pub use json::{from_json, to_json, JsonError, JsonWire};
 pub use network::{LinkError, NetworkLink};
 pub use oneway::{
     stream_seed_for, OneWayStats, OneWayUpload, OneWayUploader, SymbolBudget, DEFAULT_SYMBOL_BYTES,

@@ -1,7 +1,6 @@
 //! Link timing models for the USB accessory hop and the 4G uplink.
 
 use medsen_units::Seconds;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error produced when a link's parameters cannot model a transfer.
@@ -29,7 +28,7 @@ impl fmt::Display for LinkError {
 impl std::error::Error for LinkError {}
 
 /// A simple bandwidth + latency link model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkLink {
     /// Sustained throughput in megabits per second.
     pub bandwidth_mbps: f64,

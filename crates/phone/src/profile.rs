@@ -8,7 +8,6 @@
 //! fitted to the paper's published points.
 
 use medsen_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 use crate::network::NetworkLink;
 
@@ -22,7 +21,7 @@ pub const PAPER_FIG14_COMPUTER_S: [f64; 3] = [0.11, 0.215, 0.343];
 pub const PAPER_FIG14_PHONE_S: [f64; 3] = [0.452, 0.81, 1.554];
 
 /// An affine processing-time model: `time = fixed + per_sample × n`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable device name.
     pub name: String,

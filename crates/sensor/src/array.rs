@@ -10,10 +10,9 @@
 
 use medsen_microfluidics::ChannelGeometry;
 use medsen_units::Micrometers;
-use serde::{Deserialize, Serialize};
 
 /// A 1-based output-electrode identifier, as the paper numbers them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ElectrodeId(pub u8);
 
 impl core::fmt::Display for ElectrodeId {
@@ -35,7 +34,7 @@ impl core::fmt::Display for ElectrodeId {
 /// let all: Vec<ElectrodeId> = array.electrodes().collect();
 /// assert_eq!(array.peak_multiplicity(&all), 17);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElectrodeArray {
     n_outputs: u8,
     lead: ElectrodeId,

@@ -6,8 +6,8 @@
 //! the controller and never get sent out to the phone or cloud. This keeps
 //! the controller as MedSen's minimal trusted computing base" (Sec. VI-B).
 //!
-//! Key custody is enforced structurally: [`CipherKey`]/[`KeySchedule`] do not
-//! implement `Serialize`, the controller exposes the schedule only by
+//! Key custody is enforced structurally: [`CipherKey`]/[`KeySchedule`] have
+//! no `Wire`/`Json` impl, the controller exposes the schedule only by
 //! reference (it cannot be moved out), and [`Controller::wipe`] zeroizes the
 //! material, which also happens on drop.
 

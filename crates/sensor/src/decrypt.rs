@@ -12,12 +12,11 @@
 use crate::array::ElectrodeArray;
 use crate::keying::KeySchedule;
 use medsen_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// A peak as reported back by the analysis server. This is the only
 /// information the untrusted side returns — deliberately free of key
 /// material.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReportedPeak {
     /// Peak timestamp (seconds from acquisition start).
     pub time_s: f64,
@@ -28,7 +27,7 @@ pub struct ReportedPeak {
 }
 
 /// The decrypted result for one acquisition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecryptedCount {
     /// Estimated true particle count (fractional before rounding).
     pub estimated: f64,

@@ -10,10 +10,9 @@
 use crate::array::{ElectrodeArray, ElectrodeId};
 use crate::keying::ElectrodeSelection;
 use medsen_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Where the mux routed each electrode.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Routing {
     /// Electrodes connected to output channel A (the lock-in input).
     pub to_output: Vec<ElectrodeId>,
@@ -22,7 +21,7 @@ pub struct Routing {
 }
 
 /// The 16:2 switch matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Multiplexer {
     /// Physical channel capacity (16 for the MAX14661).
     pub capacity: u8,

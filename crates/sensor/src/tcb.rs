@@ -7,10 +7,8 @@
 //! cytometry information. MedSen neither trusts the smartphone nor the remote
 //! server ... assumed to follow a curious but honest adversarial model."
 
-use serde::{Deserialize, Serialize};
-
 /// Trust assigned to a system component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrustLevel {
     /// Inside the TCB: sees plaintext cytometry data and/or key material.
     Trusted,
@@ -20,7 +18,7 @@ pub enum TrustLevel {
 }
 
 /// One component and its trust classification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentTrust {
     /// Component name.
     pub name: &'static str,
@@ -31,7 +29,7 @@ pub struct ComponentTrust {
 }
 
 /// The full system trust audit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcbAudit {
     components: Vec<ComponentTrust>,
 }

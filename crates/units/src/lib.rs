@@ -27,12 +27,11 @@ pub use quantity::*;
 ///
 /// Generates constructors, accessors, arithmetic within the quantity
 /// (addition, subtraction, scalar multiply/divide, dimensionless ratio),
-/// ordering helpers, `Display` with a unit suffix, and serde support.
+/// ordering helpers, and `Display` with a unit suffix.
 macro_rules! quantity_type {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, serde::Serialize, serde::Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {

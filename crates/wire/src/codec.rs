@@ -55,7 +55,8 @@ pub enum WireError {
     Invalid(&'static str),
     /// The transport frame itself was malformed.
     Frame(FrameError),
-    /// A non-binary backend (e.g. the JSON debug codec) failed.
+    /// A non-binary backend (the JSON codec) met malformed text or a
+    /// value it cannot carry.
     Codec(String),
 }
 
@@ -512,8 +513,8 @@ impl std::str::FromStr for WireFormat {
 }
 
 /// A pluggable message encoding: the binary codec here, or the JSON
-/// debug backend in `medsen-phone`. Both ends of a connection must pick
-/// the same backend; [`WireFormat`] is the negotiated selector.
+/// backend ([`crate::JsonWire`]). Both ends of a connection must pick the
+/// same backend; [`WireFormat`] is the negotiated selector.
 pub trait WireCodec<T> {
     /// Which [`WireFormat`] this backend implements.
     fn format(&self) -> WireFormat;

@@ -7,7 +7,7 @@
 //! graph crate holding the codec machinery, with every peer linking the
 //! same implementation so the tiers cannot drift.
 //!
-//! Three layers, bottom up:
+//! Four layers, bottom up:
 //!
 //! * [`crc`] — the workspace's one CRC-32 (IEEE, reflected)
 //!   implementation, shared with the WAL and credential codecs;
@@ -19,8 +19,12 @@
 //!   the versioned message envelope and its frame-less
 //!   `[version][value]` payload (the WAL's entry and snapshot
 //!   encoding), and the [`WireCodec`] backend trait with the
-//!   [`BinaryWire`] backend (the JSON debug backend lives in
-//!   `medsen-phone`, next to its serializer).
+//!   [`BinaryWire`] backend;
+//! * [`json`] — the JSON debug/compat encoding: a streaming
+//!   [`JsonWriter`]/[`JsonReader`], the [`Json`] trait message types
+//!   implement beside their [`Wire`] impls, and the [`JsonWire`]
+//!   backend. Both backends decode a type through the same validation,
+//!   so they accept exactly the same values.
 //!
 //! Every decoder in this crate is total: malformed input — truncated,
 //! bit-flipped, forged length, unknown tag — returns an error, never
@@ -33,6 +37,7 @@
 pub mod codec;
 pub mod crc;
 pub mod frame;
+pub mod json;
 
 pub use codec::{
     decode_message, decode_message_traced, decode_versioned, encode_message, encode_message_traced,
@@ -44,3 +49,4 @@ pub use frame::{
     decode_frame, encode_frame, frame_to_vec, split_frame, FrameError, FRAME_OVERHEAD,
     MAX_FRAME_BYTES,
 };
+pub use json::{Json, JsonReader, JsonWire, JsonWriter, MAX_JSON_DEPTH};

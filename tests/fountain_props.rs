@@ -9,11 +9,14 @@
 //!   the source, in any arrival order;
 //! * **the decoder never panics** — adversarial symbol streams (bit
 //!   flips, truncations, forged headers, cross-wired streams) produce
-//!   typed errors or rejected symbols, never a crash or a wrong block.
+//!   typed errors or rejected symbols, never a crash or a wrong block;
+//!   nor does decompressing a reassembled block whose length prefix is
+//!   forged.
 
 use medsen::fountain::{
     decode_symbol_frame, encode_symbol_frame, source_symbol_count, Decoder, Encoder, SymbolFrame,
 };
+use medsen::phone::compress::{DecompressError, MAX_DECOMPRESSED_BYTES};
 use proptest::prelude::*;
 
 /// A deterministic index-shuffle so arrival order is arbitrary without
@@ -27,6 +30,42 @@ fn shuffled(count: u64, salt: u64) -> Vec<u64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A reassembled block's 8-byte length prefix is the sender's word:
+    /// over any tail, any declared length decompresses to exactly that
+    /// many bytes or returns a typed error — never an abort on a forged
+    /// allocation, and never a reservation past the limit.
+    #[test]
+    fn forged_block_lengths_decompress_or_error_typed(
+        declared in any::<u64>(),
+        range in 0usize..3,
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+        seed in any::<u64>(),
+    ) {
+        let declared = match range {
+            0 => declared % 4096,
+            1 => MAX_DECOMPRESSED_BYTES - 1 + declared % 3,
+            _ => declared,
+        };
+        let mut block = declared.to_be_bytes().to_vec();
+        block.extend_from_slice(&tail);
+        let mut encoder = Encoder::new(5, seed, &block, 16).expect("encoder");
+        let mut decoder = Decoder::new(block.len(), 16, seed).expect("decoder");
+        let mut id = 0;
+        while !decoder.push_frame(&encoder.symbol(id)).expect("same stream") {
+            id += 1;
+        }
+        let reassembled = decoder.block().expect("complete");
+        prop_assert_eq!(&reassembled, &block);
+        match medsen::phone::decompress(&reassembled) {
+            Ok(out) => prop_assert_eq!(out.len() as u64, declared),
+            Err(DecompressError::TooLarge { declared: d }) => {
+                prop_assert_eq!(d, declared);
+                prop_assert!(declared > MAX_DECOMPRESSED_BYTES);
+            }
+            Err(_) => prop_assert!(declared <= MAX_DECOMPRESSED_BYTES),
+        }
+    }
 
     /// Stream 6x the source symbol count, drop a pseudo-random subset at
     /// `loss`%, deliver the survivors in shuffled order: whenever the

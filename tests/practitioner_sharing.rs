@@ -65,11 +65,6 @@ fn capability_survives_serialization_but_not_wrong_secrets() {
     let capability = DecryptionCapability::derive(&session.controller, session.delay);
     let sealed = SealedCapability::seal(&capability, 42, 9);
 
-    // The envelope is plain serde data — it can travel any channel.
-    fn assert_wire<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-    assert_wire::<SealedCapability>();
-    assert_wire::<DecryptionCapability>();
-
     assert!(sealed.unseal(43).is_err());
     assert_eq!(sealed.unseal(42).expect("right secret"), capability);
 }

@@ -323,9 +323,11 @@ fn concurrent_storm_with_a_mid_storm_kill_loses_no_acknowledged_write() {
 /// gateway routing never sends traffic back to it.
 #[test]
 fn resurrected_stale_primary_fails_closed_everywhere() {
+    use medsen::cloud::wire::encode_request;
     use medsen::gateway::{
-        encode_upload, Gateway, GatewayConfig, RuntimeKind, ShedPolicy, TelemetryConfig,
+        encode_upload_wire, Gateway, GatewayConfig, RuntimeKind, ShedPolicy, TelemetryConfig,
     };
+    use medsen::wire::WireFormat;
 
     let (pair, dirs) = replicated_pair("fence");
     let old_primary = Arc::clone(pair.primary());
@@ -346,8 +348,10 @@ fn resurrected_stale_primary_fails_closed_everywhere() {
         TelemetryConfig::disabled(),
     );
     // Gateway traffic triggers the promotion.
-    let json = medsen::phone::to_json(&Request::Ping).expect("encodes");
-    let reply = gateway.submit(encode_upload(1, &json)).expect("accepted");
+    let json = encode_request(WireFormat::Json, &Request::Ping).expect("encodes");
+    let reply = gateway
+        .submit(encode_upload_wire(1, WireFormat::Json, &json))
+        .expect("accepted");
     assert_eq!(reply.wait().expect("served"), Response::Pong);
     assert!(pair.is_promoted());
 
@@ -372,7 +376,7 @@ fn resurrected_stale_primary_fails_closed_everywhere() {
     assert!(Arc::ptr_eq(&pair.serving(), pair.standby()));
     assert_eq!(total_enrolled(&pair.serving()), 1);
     let reply = gateway
-        .submit(medsen_gateway::encode_upload(2, &json))
+        .submit(encode_upload_wire(2, WireFormat::Json, &json))
         .expect("accepted");
     assert_eq!(reply.wait().expect("served"), Response::Pong);
     gateway.shutdown();

@@ -85,11 +85,12 @@ fn tcb_is_exactly_sensor_controller_mux() {
 
 #[test]
 fn wire_types_carry_no_key_material() {
-    // Compile-time: the report is (de)serializable — it crosses the network.
-    fn wire<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
+    // Compile-time: the report has both wire encodings — it crosses the
+    // network.
+    fn wire<T: medsen::wire::Wire + medsen::wire::Json>() {}
     wire::<PeakReport>();
     wire::<AnalyzedPeak>();
-    // The key schedule deliberately has no Serialize impl; this cannot be
+    // The key schedule deliberately has no `Wire`/`Json` impl; this cannot be
     // asserted negatively in stable Rust, but the decryptor type enforces it
     // structurally: it only *borrows* the schedule, so the key cannot even be
     // moved out of the controller, and `Controller::wipe` zeroizes it.

@@ -10,10 +10,12 @@
 //! retry upload, and the one-way fountain upload over a lossy link.
 
 use medsen::cloud::service::{CloudService, Request, Response};
+use medsen::cloud::wire::encode_request;
 use medsen::gateway::{Gateway, GatewayConfig, SessionConfig, ShedPolicy};
 use medsen::impedance::{Channel, SignalTrace};
-use medsen::phone::{compress, decompress, to_json, SymbolBudget};
+use medsen::phone::{compress, decompress, SymbolBudget};
 use medsen::units::{Hertz, Seconds};
+use medsen::wire::WireFormat;
 
 /// Paper sampling rate (450 Hz).
 const SAMPLE_RATE: f64 = 450.0;
@@ -89,11 +91,11 @@ fn codec_edge_traces_survive_both_uplink_modes() {
         };
 
         // 1. The raw codec round-trip of the exact wire body.
-        let body = to_json(&request).expect("encodable");
-        let compressed = compress(body.as_bytes());
+        let body = encode_request(WireFormat::Json, &request).expect("encodable");
+        let compressed = compress(&body);
         assert_eq!(
             decompress(&compressed).expect("decompressible"),
-            body.as_bytes(),
+            body,
             "{name}: LZW round-trip corrupted the body"
         );
 
@@ -132,12 +134,15 @@ fn maximum_length_trace_actually_compresses() {
     // JSON must shrink, and the fountain budget must therefore be sized
     // from the *compressed* block, not the raw body.
     let (_, trace) = edge_traces().pop().expect("traces");
-    let body = to_json(&Request::Analyze {
-        trace,
-        authenticate: false,
-    })
+    let body = encode_request(
+        WireFormat::Json,
+        &Request::Analyze {
+            trace,
+            authenticate: false,
+        },
+    )
     .expect("encodable");
-    let compressed = compress(body.as_bytes());
+    let compressed = compress(&body);
     assert!(
         compressed.len() < body.len() / 2,
         "2-minute trace should compress >2x: {} -> {}",

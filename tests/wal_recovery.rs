@@ -24,6 +24,9 @@
 //! * **JSON-era directories** — entries and snapshots written in the
 //!   JSON encoding that preceded the binary one are refused at open with
 //!   a typed error, and no file is rewritten.
+//! * **Refused requests stay out of the log** — a JSON enrollment the
+//!   binary decoder would refuse is refused too, so the directory it
+//!   was sent to still reopens.
 //! * **Compaction and flush policies** — snapshots shrink the logs
 //!   without changing the recovered state; group-commit policies batch
 //!   fsyncs until `flush_storage` (or the interval flusher) forces them.
@@ -32,8 +35,10 @@ use medsen::cloud::auth::BeadSignature;
 use medsen::cloud::persist;
 use medsen::cloud::service::{CloudService, Request, Response};
 use medsen::cloud::storage::StoredRecord;
+use medsen::cloud::wire::decode_response;
 use medsen::cloud::{FlushPolicy, PeakReport, RecordId, StorageConfig, StorageError};
 use medsen::microfluidics::ParticleKind;
+use medsen::wire::WireFormat;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Barrier, Mutex};
@@ -509,9 +514,45 @@ fn interval_policy_flushes_in_the_background() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A log entry and a snapshot exactly as the JSON encoding wrote them
-/// (`medsen_phone::to_json` of a `WalEntry`, and of the snapshot struct
-/// that preceded the binary entry list), for a one-shard layout.
+/// A JSON `Enroll` whose bead signature counts red blood cells was once
+/// acknowledged and journaled, although the binary decoder refuses it;
+/// the journaled entry then failed to decode and the directory refused
+/// to reopen. Both formats now refuse it with the same error, so it
+/// never reaches the log.
+#[test]
+fn a_json_enroll_binary_would_refuse_is_refused_and_the_directory_reopens() {
+    let dir = temp_dir("cell-enroll");
+    let svc = CloudService::with_storage(&dir, 8, FlushPolicy::EveryWrite).expect("opens");
+    let forged =
+        br#"{"Enroll":{"identifier":"mallory","signature":{"counts":{"RedBloodCell":5}}}}"#;
+    let reply = decode_response(
+        WireFormat::Json,
+        &svc.handle_wire_shared(WireFormat::Json, forged),
+    )
+    .expect("the reply decodes");
+    assert!(
+        matches!(&reply, Response::Error { reason } if reason.contains("non-bead species")),
+        "{reply:?}"
+    );
+    assert_eq!(
+        svc.handle_shared(Request::Enroll {
+            identifier: "ana".into(),
+            signature: sig(40),
+        }),
+        Response::Enrolled
+    );
+    drop(svc);
+
+    let reopened = CloudService::with_storage(&dir, 8, FlushPolicy::EveryWrite)
+        .expect("the directory reopens");
+    assert_eq!(total_enrolled(&reopened), 1, "only ana is enrolled");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log entry and a snapshot exactly as the JSON-era WAL wrote them
+/// (the JSON text of a `WalEntry`, and of the snapshot struct that
+/// preceded the binary entry list), for a one-shard layout.
 const JSON_ENROLL: &str =
     r#"{"Enroll":{"identifier":"ana","signature":{"counts":{"Bead358":40}}}}"#;
 const JSON_STORE: &str = r#"{"Store":{"id":0,"record":{"user_id":"ana","report":{"peaks":[],"carriers_hz":[500000],"sample_rate_hz":450,"duration_s":1,"noise_sigma":0.0003},"signature":{"counts":{"Bead358":40}}}}}"#;

@@ -10,7 +10,9 @@
 //!   value, or both refuse it, so a binary-speaking dongle and a JSON
 //!   debug client can never disagree about what was said;
 //! * **the decoder never panics** — truncations, bit flips, and forged
-//!   headers produce typed errors, never a crash.
+//!   headers produce typed errors, never a crash, in both formats; a
+//!   JSON value nested past [`MAX_JSON_DEPTH`] is refused before it can
+//!   exhaust the decoding thread's stack.
 //!
 //! A gateway law rides along: any request a client can encode, its
 //! traces full of NaN, ±∞, subnormals and huge finite values, gets a
@@ -32,7 +34,7 @@ use medsen::gateway::{encode_upload_wire, Gateway, GatewayConfig, ShedPolicy};
 use medsen::impedance::{Channel, SignalComponent, SignalTrace};
 use medsen::microfluidics::ParticleKind;
 use medsen::units::Hertz;
-use medsen::wire::{WireError, WireFormat};
+use medsen::wire::{WireError, WireFormat, MAX_JSON_DEPTH};
 use proptest::prelude::*;
 use std::sync::mpsc;
 use std::thread;
@@ -317,6 +319,62 @@ proptest! {
         prop_assert!(decode_response(WireFormat::Binary, &bytes).is_err());
     }
 
+    /// Every proper prefix of a JSON request or response is refused: a
+    /// root value is an object or a string, so a cut one never closes.
+    #[test]
+    fn json_prefixes_are_refused(request in arb_request(), response in arb_response()) {
+        let request = encode_request(WireFormat::Json, &request).expect("encodes");
+        for cut in 0..request.len() {
+            prop_assert!(decode_request(WireFormat::Json, &request[..cut]).is_err(), "cut {}", cut);
+        }
+        let response = encode_response(WireFormat::Json, &response).expect("encodes");
+        for cut in 0..response.len() {
+            prop_assert!(decode_response(WireFormat::Json, &response[..cut]).is_err(), "cut {}", cut);
+        }
+    }
+
+    /// Replacing any one byte of a JSON request or response with any
+    /// other never panics: decoding ends in a value or a typed error.
+    #[test]
+    fn json_byte_flips_never_panic(
+        request in arb_request(),
+        response in arb_response(),
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        let mut request = encode_request(WireFormat::Json, &request).expect("encodes");
+        let i = (at % request.len() as u64) as usize;
+        request[i] = byte;
+        let _ = decode_request(WireFormat::Json, &request);
+        let mut response = encode_response(WireFormat::Json, &response).expect("encodes");
+        let i = (at % response.len() as u64) as usize;
+        response[i] = byte;
+        let _ = decode_response(WireFormat::Json, &response);
+    }
+
+    /// An unknown field nested `depth` arrays deep inside an `Enroll`
+    /// (itself two objects deep) decodes while the whole value stays
+    /// within [`MAX_JSON_DEPTH`] and is refused, typed, past it.
+    #[test]
+    fn deep_unknown_fields_decode_until_the_depth_cap(
+        depth in 0usize..20_001,
+        near_the_cap in any::<bool>(),
+    ) {
+        let depth = if near_the_cap { depth % (2 * MAX_JSON_DEPTH) } else { depth };
+        let decoded = decode_request(WireFormat::Json, &nested_enroll(depth, true));
+        if depth + 2 <= MAX_JSON_DEPTH {
+            prop_assert_eq!(decoded, Ok(Request::Enroll {
+                identifier: "mallory".into(),
+                signature: BeadSignature::from_counts(&[(ParticleKind::Bead358, 5)]),
+            }));
+        } else {
+            prop_assert!(
+                matches!(&decoded, Err(WireError::Codec(reason)) if reason.contains("nesting")),
+                "depth {}: {:?}", depth, decoded
+            );
+        }
+    }
+
     /// Forged headers — arbitrary kind bytes, version bytes, and length
     /// prefixes over random bodies — always produce typed errors.
     #[test]
@@ -392,6 +450,64 @@ proptest! {
     }
 }
 
+/// A JSON `Enroll` whose unknown field holds `depth` nested arrays,
+/// closed when `balanced`, or left open as a forger would.
+fn nested_enroll(depth: usize, balanced: bool) -> Vec<u8> {
+    let close = if balanced {
+        "]".repeat(depth)
+    } else {
+        String::new()
+    };
+    format!(
+        r#"{{"Enroll":{{"identifier":"mallory","junk":{}0{},"signature":{{"counts":{{"Bead358":5}}}}}}}}"#,
+        "[".repeat(depth),
+        close
+    )
+    .into_bytes()
+}
+
+/// 50,000 nested `[` in a 100 KB upload once recursed once per level
+/// until the thread's stack overflowed and the process aborted. The
+/// decoder now refuses it on a 2 MiB thread, and a one-worker gateway
+/// answers it with an error and goes on serving.
+#[test]
+fn hostile_json_nesting_is_refused_and_the_gateway_keeps_serving() {
+    let body = nested_enroll(50_000, false);
+    assert!(body.len() > 50_000);
+    let decode_body = body.clone();
+    let decoded = thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || decode_request(WireFormat::Json, &decode_body))
+        .expect("spawns")
+        .join()
+        .expect("the decoder returned");
+    assert!(
+        matches!(&decoded, Err(WireError::Codec(reason)) if reason.contains("nesting")),
+        "{decoded:?}"
+    );
+
+    let gw = Gateway::new(
+        CloudService::new(),
+        GatewayConfig {
+            queue_capacity: 4,
+            workers: 1,
+            shed_policy: ShedPolicy::Block,
+        },
+    );
+    let reply = gw
+        .submit(encode_upload_wire(1, WireFormat::Json, &body))
+        .expect("accepted")
+        .wait();
+    assert!(matches!(reply, Ok(Response::Error { .. })), "{reply:?}");
+    let ping = encode_request(WireFormat::Json, &Request::Ping).expect("encodes");
+    let pong = gw
+        .submit(encode_upload_wire(2, WireFormat::Json, &ping))
+        .expect("accepted")
+        .wait();
+    assert_eq!(pong, Ok(Response::Pong));
+    gw.shutdown();
+}
+
 /// An Analyze request for two channels of three samples each: one at
 /// `carrier` whose middle sample is `sample`, and one at 2 MHz.
 fn analyze(rate: f64, carrier: f64, sample: f64) -> Request {
@@ -405,10 +521,10 @@ fn analyze(rate: f64, carrier: f64, sample: f64) -> Request {
     }
 }
 
-/// The JSON decoder refuses the traces the binary one does, for the same
-/// reason (the binary cases are unit tests of `SignalTrace`): ±1e999,
-/// which parses to ±∞, as a rate, carrier or sample; ragged channels;
-/// and a sample rate of zero or below, in both formats.
+/// The JSON decoder refuses the traces the binary one does, with the
+/// same error (the binary cases are unit tests of `SignalTrace`):
+/// ±1e999, which parses to ±∞, as a rate, carrier or sample; ragged
+/// channels; and a sample rate of zero or below, in both formats.
 #[test]
 fn both_formats_refuse_a_trace_no_sensor_can_produce() {
     const RATE: &str = "trace sample rate is not finite and positive";
@@ -416,11 +532,13 @@ fn both_formats_refuse_a_trace_no_sensor_can_produce() {
         String::from_utf8(encode_request(WireFormat::Json, request).expect("encodes"))
             .expect("json is utf-8")
     };
-    let refused_in_json =
-        |text: &str, why: &str| match decode_request(WireFormat::Json, text.as_bytes()) {
-            Err(WireError::Codec(reason)) => assert!(reason.contains(why), "{text}: {reason}"),
-            other => panic!("{text}: {other:?}"),
-        };
+    let refused_in_json = |text: &str, why: &'static str| {
+        assert_eq!(
+            decode_request(WireFormat::Json, text.as_bytes()),
+            Err(WireError::Invalid(why)),
+            "{text}"
+        );
+    };
 
     // Each marker value appears once in the JSON text.
     let good = analyze(451.25, 500_001.5, 0.8125);
